@@ -259,20 +259,24 @@ pub struct ResponseEnvelope {
 
 /// Serializes a request into its versioned wire form.
 pub fn encode_request(request: &Request) -> String {
-    serde_json::to_string(&RequestEnvelope {
-        v: PROTO_VERSION,
-        body: request.clone(),
-    })
-    .expect("protocol messages always serialize")
+    encode_envelope(request)
 }
 
 /// Serializes a response into its versioned wire form.
 pub fn encode_response(response: &Response) -> String {
-    serde_json::to_string(&ResponseEnvelope {
-        v: PROTO_VERSION,
-        body: response.clone(),
-    })
-    .expect("protocol messages always serialize")
+    encode_envelope(response)
+}
+
+/// Writes `{"v":PROTO_VERSION,"body":…}` straight from the borrowed
+/// message: the same text a [`RequestEnvelope`] / [`ResponseEnvelope`]
+/// serializes to, without cloning the message into one.
+fn encode_envelope<T: Serialize>(body: &T) -> String {
+    let mut ser = serde::Serializer::compact();
+    ser.begin_object();
+    ser.field("v", &PROTO_VERSION);
+    ser.field("body", body);
+    ser.end_object();
+    ser.into_string()
 }
 
 fn check_version(v: u32) -> Result<(), ProtoError> {
@@ -442,6 +446,131 @@ mod tests {
             },
             Response::error(ErrorCode::OutOfBounds, "point (2, 2) is outside the map"),
         ]
+    }
+
+    /// One golden entry per message: the compact wire line, then the
+    /// pretty-printed envelope. Entries are separated by a blank line
+    /// (pretty JSON never contains one).
+    fn golden_entries<T: Serialize>(envelopes: &[T]) -> Vec<String> {
+        envelopes
+            .iter()
+            .map(|e| {
+                let compact = serde_json::to_string(e).unwrap();
+                let pretty = serde_json::to_string_pretty(e).unwrap();
+                format!("{compact}\n{pretty}")
+            })
+            .collect()
+    }
+
+    fn assert_golden(golden: &str, entries: &[String]) {
+        let expected: Vec<&str> = golden.trim_end().split("\n\n").collect();
+        assert_eq!(expected.len(), entries.len(), "golden entry count");
+        for (i, (want, got)) in expected.iter().zip(entries).enumerate() {
+            assert_eq!(want, got, "golden entry #{i} changed on the wire");
+        }
+    }
+
+    #[test]
+    fn request_wire_text_matches_the_golden_encodings() {
+        let envelopes: Vec<RequestEnvelope> = sample_requests()
+            .into_iter()
+            .map(|body| RequestEnvelope {
+                v: PROTO_VERSION,
+                body,
+            })
+            .collect();
+        for (envelope, request) in envelopes.iter().zip(sample_requests()) {
+            assert_eq!(
+                serde_json::to_string(envelope).unwrap(),
+                encode_request(&request)
+            );
+        }
+        assert_golden(
+            include_str!("../testdata/golden_requests.txt"),
+            &golden_entries(&envelopes),
+        );
+        // Pretty (whitespace-heavy) envelopes decode like compact ones.
+        for envelope in envelopes {
+            let pretty = serde_json::to_string_pretty(&envelope).unwrap();
+            assert_eq!(decode_request(&pretty).unwrap(), envelope.body);
+        }
+    }
+
+    #[test]
+    fn response_wire_text_matches_the_golden_encodings() {
+        let envelopes: Vec<ResponseEnvelope> = sample_responses()
+            .into_iter()
+            .map(|body| ResponseEnvelope {
+                v: PROTO_VERSION,
+                body,
+            })
+            .collect();
+        for (envelope, response) in envelopes.iter().zip(sample_responses()) {
+            assert_eq!(
+                serde_json::to_string(envelope).unwrap(),
+                encode_response(&response)
+            );
+        }
+        assert_golden(
+            include_str!("../testdata/golden_responses.txt"),
+            &golden_entries(&envelopes),
+        );
+        for envelope in envelopes {
+            let pretty = serde_json::to_string_pretty(&envelope).unwrap();
+            assert_eq!(decode_response(&pretty).unwrap(), envelope.body);
+        }
+    }
+
+    #[test]
+    fn envelope_decoding_edge_cases() {
+        let lookup = |x: f64, y: f64| Request::Lookup { x, y };
+        // Unknown fields are skipped at every level, nested values too.
+        let wire = r#"{"trace":{"id":[1,{"a":"}"}]},"v":1,"body":{"Lookup":
+            {"x":0.5,"extra":[[],{}],"y":0.25}},"tail":null}"#;
+        assert_eq!(decode_request(wire).unwrap(), lookup(0.5, 0.25));
+        // Duplicate keys keep the first occurrence.
+        let wire = r#"{"v":1,"body":"Stats","body":"Metrics","v":2}"#;
+        assert_eq!(decode_request(wire).unwrap(), Request::Stats);
+        // Escaped keys decode like plain ones.
+        let wire = r#"{"\u0076":1,"b\u006fdy":{"Lookup":{"\u0078":0.5,"y":0.5}}}"#;
+        assert_eq!(decode_request(wire).unwrap(), lookup(0.5, 0.5));
+        // Integer literals decode into f64 fields.
+        let wire = r#"{"v":1,"body":{"Lookup":{"x":0,"y":1}}}"#;
+        assert_eq!(decode_request(wire).unwrap(), lookup(0.0, 1.0));
+        // null in an f64 field decodes as NaN, which validation rejects.
+        let wire =
+            r#"{"v":1,"body":{"LookupBatch":{"points":[{"x":0.5,"y":0.5},{"x":0.5,"y":null}]}}}"#;
+        let err = decode_request(wire).unwrap_err();
+        assert!(matches!(err, ProtoError::InvalidRequest(_)), "{err}");
+        assert!(err.to_string().contains("#1"), "{err}");
+        // u64 above 2^53 stays exact.
+        let wire = r#"{"v":1,"body":{"Committed":{"generation":18446744073709551615}}}"#;
+        assert_eq!(
+            decode_response(wire).unwrap(),
+            Response::Committed {
+                generation: u64::MAX
+            }
+        );
+        // A required field still fails as missing; an optional one is None.
+        let err =
+            decode_request(r#"{"v":1,"body":{"Ingest":{"x":0.5,"y":0.5,"group":1}}}"#).unwrap_err();
+        assert!(err.to_string().contains("missing field `label`"), "{err}");
+        // Trailing characters, multi-key enum objects and bad shapes fail.
+        for wire in [
+            r#"{"v":1,"body":"Stats"} x"#,
+            r#"{"v":1,"body":"Stats"}{}"#,
+            r#"{"v":1,"body":{"Lookup":{"x":0.5,"y":0.5},"Stats":null}}"#,
+            r#"{"v":1,"body":{"Stats":null}}"#,
+            r#"{"v":1,"body":"Lookup"}"#,
+            r#"{"v":1,"body":{}}"#,
+            r#"{"v":1.0,"body":"Stats"}"#,
+            r#"{"v":1,"body":{"LookupBatch":{"points":[{"x":0.5,"y":0.5},]}}}"#,
+        ] {
+            assert!(
+                matches!(decode_request(wire), Err(ProtoError::Json(_))),
+                "{wire}"
+            );
+        }
     }
 
     #[test]

@@ -505,6 +505,13 @@ impl ShardBackend for ReplicaSet {
             .unwrap_or(0)
     }
 
+    fn in_process_generation(&self) -> Option<u64> {
+        self.slots
+            .iter()
+            .filter_map(|slot| slot.backend.in_process_generation())
+            .max()
+    }
+
     fn transport_stats(&self) -> Option<TransportStats> {
         let mut total = TransportStats::default();
         let mut any = false;

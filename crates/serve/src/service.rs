@@ -963,16 +963,18 @@ impl QueryService {
     }
 
     /// The `Ingested` acknowledgement: this request's accept count, the
-    /// coordinator buffer's occupancy, and the newest generation of the
-    /// *local* shards (remote generations would cost a round-trip per
-    /// write; they move in lockstep under the two-phase barrier anyway).
+    /// coordinator buffer's occupancy, and the newest generation readable
+    /// in-process — local shards and the in-process members of replica
+    /// slots (remote generations would cost a round-trip per write; they
+    /// move in lockstep under the two-phase barrier anyway).
     fn ingested(&self, state: &IngestState, accepted: u64) -> Response {
-        let mut generation = 0;
-        for backend in self.topology.backends() {
-            if let Some(local) = backend.as_local() {
-                generation = generation.max(local.handle().generation());
-            }
-        }
+        let generation = self
+            .topology
+            .backends()
+            .iter()
+            .filter_map(|backend| backend.in_process_generation())
+            .max()
+            .unwrap_or(0);
         Response::Ingested {
             accepted,
             buffered: state.buffer.occupancy(),

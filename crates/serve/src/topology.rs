@@ -30,7 +30,7 @@ use fsi_geo::{Point, Rect};
 use fsi_proto::{
     ErrorCode, HealthBody, MetricsBody, Request, Response, ShardHealthBody, StatsBody,
 };
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// Transport-level counters a remote backend accumulates below the
@@ -76,6 +76,14 @@ pub trait ShardBackend: Send + Sync {
     /// rebuild state and readers; remote shards return `None`.
     fn as_local(&self) -> Option<&LocalShard> {
         None
+    }
+
+    /// The live generation when it can be read in-process, without a
+    /// round-trip: a local shard's handle (the default, through
+    /// [`ShardBackend::as_local`]), or the newest in-process member of a
+    /// replica set. `None` for backends only reachable remotely.
+    fn in_process_generation(&self) -> Option<u64> {
+        self.as_local().map(|local| local.handle().generation())
     }
 
     /// The backend itself, when it *is* a plain in-process
@@ -352,53 +360,48 @@ impl BackendSpec {
 }
 
 impl Serialize for BackendSpec {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, ser: &mut serde::Serializer) {
         match self {
-            BackendSpec::Replicas(members) => Value::Object(vec![(
-                "replicas".to_string(),
-                Value::Array(members.iter().map(Serialize::to_value).collect()),
-            )]),
-            other => Value::Str(other.as_wire()),
+            BackendSpec::Replicas(members) => {
+                ser.begin_object();
+                ser.field("replicas", members);
+                ser.end_object();
+            }
+            other => ser.str(&other.as_wire()),
         }
     }
 }
 
 impl Deserialize for BackendSpec {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        if let Some(entries) = value.as_object() {
-            let members = match entries {
-                [(key, members)] if key == "replicas" => members,
-                _ => {
-                    return Err(serde::Error::custom(
-                        "backend spec object must have exactly one key, \"replicas\"",
-                    ))
-                }
-            };
-            let members = members
-                .as_array()
-                .ok_or_else(|| serde::Error::custom("\"replicas\" must be an array"))?;
-            return Ok(BackendSpec::Replicas(
-                members
-                    .iter()
-                    .map(BackendSpec::from_value)
-                    .collect::<Result<_, _>>()?,
-            ));
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let one_key = "backend spec object must have exactly one key, \"replicas\"";
+        if de.peek() == Some(b'{') {
+            if de.begin_object()?.as_deref() != Some("replicas") {
+                return Err(de.error(one_key));
+            }
+            if de.peek() != Some(b'[') {
+                return Err(de.error("\"replicas\" must be an array"));
+            }
+            let members = Vec::<BackendSpec>::deserialize(de)?;
+            if de.next_key()?.is_some() {
+                return Err(de.error(one_key));
+            }
+            return Ok(BackendSpec::Replicas(members));
         }
-        let s = value
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("backend spec must be a string or object"))?;
+        if de.peek() != Some(b'"') {
+            return Err(de.error("backend spec must be a string or object"));
+        }
+        let s = de.str()?;
         if s == "local" {
             return Ok(BackendSpec::Local);
         }
         if let Some(addr) = s.strip_prefix("http://") {
             if addr.is_empty() {
-                return Err(serde::Error::custom(
-                    "http backend spec has an empty address",
-                ));
+                return Err(de.error("http backend spec has an empty address"));
             }
             return Ok(BackendSpec::Http(addr.to_string()));
         }
-        Err(serde::Error::custom(format!(
+        Err(de.error(format!(
             "backend spec must be \"local\", \"http://host:port\" or {{\"replicas\": [...]}}, got {s:?}"
         )))
     }

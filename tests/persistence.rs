@@ -175,6 +175,25 @@ fn saved_run_report_restores_spec_and_partition() {
 }
 
 #[test]
+fn saved_run_report_matches_golden_bytes() {
+    let d = dataset();
+    let run = Pipeline::on(&d)
+        .method(Method::FairKd)
+        .height(3)
+        .seed(77)
+        .run()
+        .unwrap();
+    let dir = std::env::temp_dir().join(format!("fsi_golden_report_{}", std::process::id()));
+    let path = dir.join("report.json");
+    run.save_report(&path).unwrap();
+    let json = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    // Captured before the codec went streaming: the persisted document
+    // must stay byte-for-byte what older builds wrote and read.
+    assert_eq!(json, include_str!("golden/run_report.json"));
+}
+
+#[test]
 fn quadtree_json_round_trip() {
     use fsi_core::{FairQuadtree, QuadConfig};
     let d = dataset();

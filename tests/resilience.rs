@@ -6,9 +6,9 @@
 //! keep-alive connections between requests.
 
 use fsi::{
-    decode_request, encode_response, BackendSpec, DecisionBody, Method, Pipeline, QueryService,
-    RemoteShard, Request, ResilError, ResiliencePolicy, Response, ShardBackend, TaskSpec,
-    TopologySpec, WirePoint,
+    decode_request, encode_response, BackendSpec, DecisionBody, IngestBody, MaintenanceSpec,
+    Method, Pipeline, QueryService, RemoteShard, Request, ResilError, ResiliencePolicy, Response,
+    ShardBackend, TaskSpec, TopologySpec, WirePoint,
 };
 use fsi_data::synth::city::{CityConfig, CityGenerator};
 use fsi_data::SpatialDataset;
@@ -282,6 +282,55 @@ fn kill_one_replica_mid_storm_answers_bit_identically_with_zero_errors() {
         for server in pair {
             server.shutdown();
         }
+    }
+}
+
+/// The `Ingested` ack on a topology of in-process replica slots reports
+/// the live generation, read from the members' handles without a
+/// round-trip — not 0, as if every slot were remote.
+#[test]
+fn ingested_ack_reports_the_generation_of_in_process_replica_slots() {
+    let d = dataset();
+    let policy = MaintenanceSpec {
+        drift_threshold: 1e18,
+        max_buffered: 1 << 20,
+        max_staleness_ms: 0,
+        poll_interval_ms: 5,
+    };
+    let serving = Pipeline::on(&d)
+        .task(TaskSpec::act())
+        .method(Method::FairKd)
+        .height(4)
+        .run()
+        .unwrap()
+        .serve_with_ingest(policy)
+        .unwrap();
+    let spec = TopologySpec {
+        rows: 2,
+        cols: 2,
+        shards: (0..4)
+            .map(|_| BackendSpec::Replicas(vec![BackendSpec::Local, BackendSpec::Local]))
+            .collect(),
+    };
+    let mut coordinator = serving.service_over_with(&spec, storm_policy()).unwrap();
+    let b = *d.grid().bounds();
+    let points = (0..4)
+        .map(|k| {
+            let f = 0.1 + 0.2 * f64::from(k);
+            IngestBody::new(b.min_x + f * b.width(), b.min_y + f * b.height(), k, true)
+        })
+        .collect();
+    match coordinator.dispatch(&Request::Stats) {
+        Response::Stats { stats } => assert_eq!(stats.generations, vec![1; 4]),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    match coordinator.dispatch(&Request::IngestBatch { points }) {
+        Response::Ingested {
+            accepted,
+            generation,
+            ..
+        } => assert_eq!((accepted, generation), (4, 1)),
+        other => panic!("expected an ingested ack, got {other:?}"),
     }
 }
 
