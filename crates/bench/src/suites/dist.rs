@@ -5,6 +5,11 @@
 //! * `coordinator_*` vs `single_box_*` — the same queries through a 2×2
 //!   partial-index topology (routing + gather) and through one
 //!   unsharded `QueryService`; the gap is the coordination overhead.
+//! * `coordinator_*_replicated_*` — the same batch and range queries
+//!   through the replica-slot 2×2 topology the end-to-end benchmark
+//!   deploys (every slot `{"replicas":["local","local"]}`): the
+//!   coordinator forwards to `ReplicaSet`s instead of reading local
+//!   partial indexes.
 //! * `remote_lookup_http_*` — keep-alive HTTP round-trips through a
 //!   `RemoteShard` backend against a loopback shard server: the
 //!   per-query price of moving a shard out of process.
@@ -13,7 +18,8 @@ use super::Profile;
 use crate::bench_dataset;
 use criterion::{black_box, Criterion};
 use fsi::{
-    Method, Pipeline, Request, Response, ShardBackend, TaskSpec, TopologySpec, WirePoint, WireRect,
+    BackendSpec, Method, Pipeline, Request, ResiliencePolicy, Response, ShardBackend, TaskSpec,
+    TopologySpec, WirePoint, WireRect,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -55,6 +61,14 @@ pub fn register(c: &mut Criterion, p: &Profile) {
     let mut coordinator = serving
         .service_over(&TopologySpec::local(2, 2))
         .expect("2x2 partial topology builds");
+    let replicated_spec = TopologySpec {
+        rows: 2,
+        cols: 2,
+        shards: vec![BackendSpec::Replicas(vec![BackendSpec::Local, BackendSpec::Local]); 4],
+    };
+    let mut replicated = serving
+        .service_over_with(&replicated_spec, ResiliencePolicy::default())
+        .expect("2x2 replica-slot topology builds");
 
     // One shard server on loopback behind a keep-alive RemoteShard —
     // the wire-hop fixture.
@@ -111,19 +125,34 @@ pub fn register(c: &mut Criterion, p: &Profile) {
         })
     });
 
-    // Range queries fan out to every covering shard and merge.
-    group.bench_function("coordinator_range_x64", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for &rect in &rects {
-                match coordinator.dispatch(&Request::RangeQuery { rect }) {
-                    Response::Regions { ids } => acc = acc.wrapping_add(ids.len()),
-                    other => panic!("expected regions, got {other:?}"),
-                }
-            }
-            black_box(acc)
+    group.bench_function(format!("coordinator_batch_replicated_x{batch}"), |b| {
+        let request = Request::LookupBatch {
+            points: points.clone(),
+        };
+        b.iter(|| match replicated.dispatch(&request) {
+            Response::Decisions { decisions } => black_box(decisions.len()),
+            other => panic!("expected decisions, got {other:?}"),
         })
     });
+
+    // Range queries fan out to every covering shard and merge.
+    for (id, service) in [
+        ("coordinator_range_x64", &mut coordinator),
+        ("coordinator_range_replicated_x64", &mut replicated),
+    ] {
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let mut acc = 0usize;
+                for &rect in &rects {
+                    match service.dispatch(&Request::RangeQuery { rect }) {
+                        Response::Regions { ids } => acc = acc.wrapping_add(ids.len()),
+                        other => panic!("expected regions, got {other:?}"),
+                    }
+                }
+                black_box(acc)
+            })
+        });
+    }
 
     // The wire hop: keep-alive HTTP round-trips through a RemoteShard.
     group.bench_function("remote_lookup_http_x64", |b| {

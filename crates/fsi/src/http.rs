@@ -67,6 +67,12 @@ const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 /// a worker's memory.
 const MAX_HEAD_LINE_BYTES: usize = 8 * 1024;
 
+/// Largest response body [`HttpClient`] accepts: room for the answer
+/// to a maximum-size request (a `Decisions` body is about 1.75× its
+/// `LookupBatch`), while a hostile or broken peer's `Content-Length`
+/// can no longer size the client's allocation.
+const MAX_RESPONSE_BODY_BYTES: usize = 2 * MAX_BODY_BYTES;
+
 /// Most headers accepted in one request head.
 const MAX_HEADERS: usize = 100;
 
@@ -660,10 +666,27 @@ impl HttpClient {
         self.read_response()
     }
 
-    /// Reads one framed response off the connection.
+    /// Reads one response head line, refusing one longer than
+    /// [`MAX_HEAD_LINE_BYTES`] before buffering more of it.
+    fn read_head_line(&mut self, line: &mut String) -> Result<usize, FsiError> {
+        let cap = MAX_HEAD_LINE_BYTES as u64 + 1;
+        let n = (&mut self.reader).take(cap).read_line(line)?;
+        if n > MAX_HEAD_LINE_BYTES {
+            return Err(FsiError::Io(std::io::Error::new(
+                ErrorKind::InvalidData,
+                format!("response head line exceeds {MAX_HEAD_LINE_BYTES} bytes"),
+            )));
+        }
+        Ok(n)
+    }
+
+    /// Reads one framed response off the connection. The peer is not
+    /// trusted: head lines and the body are capped
+    /// ([`MAX_HEAD_LINE_BYTES`], [`MAX_RESPONSE_BODY_BYTES`]), so a
+    /// broken shard cannot make the client allocate what it declares.
     fn read_response(&mut self) -> Result<(u16, String), FsiError> {
         let mut status_line = String::new();
-        if self.reader.read_line(&mut status_line)? == 0 {
+        if self.read_head_line(&mut status_line)? == 0 {
             return Err(FsiError::Io(std::io::Error::new(
                 ErrorKind::UnexpectedEof,
                 "server closed the connection before responding",
@@ -682,7 +705,7 @@ impl HttpClient {
         let mut content_length = 0usize;
         loop {
             let mut header = String::new();
-            if self.reader.read_line(&mut header)? == 0 {
+            if self.read_head_line(&mut header)? == 0 {
                 return Err(FsiError::Io(std::io::Error::new(
                     ErrorKind::UnexpectedEof,
                     "connection closed inside the response head",
@@ -702,6 +725,15 @@ impl HttpClient {
                     })?;
                 }
             }
+        }
+        if content_length > MAX_RESPONSE_BODY_BYTES {
+            return Err(FsiError::Io(std::io::Error::new(
+                ErrorKind::InvalidData,
+                format!(
+                    "response body of {content_length} bytes exceeds the \
+                     {MAX_RESPONSE_BODY_BYTES} limit"
+                ),
+            )));
         }
         let mut body = vec![0u8; content_length];
         self.reader.read_exact(&mut body)?;
@@ -1212,5 +1244,56 @@ mod tests {
         let stats = shard.transport_stats().unwrap();
         assert_eq!(stats.failures, 1, "{stats:?}");
         assert!(stats.reconnects >= 1, "{stats:?}");
+    }
+
+    /// A one-connection peer that reads the client's request, answers
+    /// with `respond`, then holds the socket until the client hangs up
+    /// (so the client never reads a reset in place of the answer).
+    fn hostile_peer(
+        respond: impl FnOnce(&mut TcpStream) + Send + 'static,
+    ) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = [0u8; 4096];
+            let _ = stream.read(&mut request);
+            respond(&mut stream);
+            let _ = std::io::copy(&mut stream, &mut std::io::sink());
+        });
+        (addr, peer)
+    }
+
+    fn assert_invalid_data(result: Result<(u16, String), FsiError>) {
+        match result {
+            Err(FsiError::Io(e)) => assert_eq!(e.kind(), ErrorKind::InvalidData, "{e}"),
+            other => panic!("expected an InvalidData error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn client_refuses_a_content_length_it_cannot_hold() {
+        let (addr, peer) = hostile_peer(|stream| {
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n")
+                .unwrap();
+        });
+        let mut client = HttpClient::connect(addr).unwrap();
+        assert_invalid_data(client.post("{}"));
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn client_refuses_an_endless_response_head_line() {
+        let (addr, peer) = hostile_peer(|stream| {
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nX-Flood: ");
+            // Flood until the client hangs up.
+            while stream.write_all(&[b'a'; 4096]).is_ok() {}
+        });
+        let mut client = HttpClient::connect(addr).unwrap();
+        assert_invalid_data(client.post("{}"));
+        drop(client);
+        peer.join().unwrap();
     }
 }

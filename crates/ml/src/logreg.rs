@@ -75,14 +75,16 @@ pub struct LogisticRegression {
     converged: bool,
 }
 
+/// The logistic function, stable at both extremes: with `e = exp(−|z|)`
+/// it is `1/(1+e)` for `z ≥ 0` and `e/(1+e)` below. Only the numerator
+/// depends on the sign, so the compiler selects it without a branch —
+/// the training loop calls this once per row per epoch, and the sign of
+/// `z` is close to random across rows.
 #[inline]
 fn sigmoid(z: f64) -> f64 {
-    if z >= 0.0 {
-        1.0 / (1.0 + (-z).exp())
-    } else {
-        let e = z.exp();
-        e / (1.0 + e)
-    }
+    let e = (-z.abs()).exp();
+    let num = if z >= 0.0 { 1.0 } else { e };
+    num / (1.0 + e)
 }
 
 impl LogisticRegression {
@@ -162,22 +164,35 @@ impl Classifier for LogisticRegression {
         let n = xs.rows();
         let d = xs.cols();
         let sum_w: f64 = w.iter().sum();
+        let labels: Vec<f64> = y.iter().map(|&b| f64::from(u8::from(b))).collect();
+        // Column-major copy of the design: each epoch's passes below run
+        // down contiguous columns. Every per-row sum still adds its terms
+        // in the same order as a row-wise loop, so θ is bit-identical to
+        // one (the tests keep that loop as an oracle).
+        let columns: Vec<f64> = (0..d).flat_map(|j| xs.column(j)).collect();
         let mut theta = vec![0.0f64; d + 1];
         let mut grad = vec![0.0f64; d + 1];
+        let mut err = vec![0.0f64; n];
         let mut epochs_run = 0;
         let mut converged = false;
 
         for _ in 0..self.config.max_epochs {
             epochs_run += 1;
-            grad.iter_mut().for_each(|g| *g = 0.0);
-            for i in 0..n {
-                let row = xs.row(i);
-                let z = theta[0] + row.iter().zip(&theta[1..]).map(|(a, b)| a * b).sum::<f64>();
-                let err = (sigmoid(z) - f64::from(u8::from(y[i]))) * w[i];
-                grad[0] += err;
-                for (g, v) in grad[1..].iter_mut().zip(row) {
-                    *g += err * v;
+            // z_i − θ0 = Σ_j x_ij·θ_j, folded from −0.0 in column order —
+            // exactly `Iterator::sum` over the row.
+            err.iter_mut().for_each(|e| *e = -0.0);
+            for (col, t) in columns.chunks_exact(n).zip(&theta[1..]) {
+                for (e, x) in err.iter_mut().zip(col) {
+                    *e += x * t;
                 }
+            }
+            for ((e, label), wi) in err.iter_mut().zip(&labels).zip(&w) {
+                *e = (sigmoid(theta[0] + *e) - label) * wi;
+            }
+            // Each gradient component accumulates its rows in row order.
+            grad[0] = err.iter().fold(0.0, |g, e| g + e);
+            for (g, col) in grad[1..].iter_mut().zip(columns.chunks_exact(n)) {
+                *g = err.iter().zip(col).fold(0.0, |g, (e, x)| g + e * x);
             }
             let mut max_grad: f64 = 0.0;
             for (j, g) in grad.iter_mut().enumerate() {
@@ -370,6 +385,102 @@ mod tests {
         let imp = m.feature_importances().unwrap();
         assert_eq!(imp.len(), 1);
         assert!(imp[0] > 0.0);
+    }
+
+    /// `fit`'s epoch loop as it was before it went column-major — one
+    /// pass per row with the two-branch sigmoid — kept as the oracle the
+    /// restructured loop must match bit for bit. `xs` is the (already
+    /// standardized) design; returns θ and the epochs run.
+    fn row_wise_theta(
+        config: &LogisticRegressionConfig,
+        xs: &Matrix,
+        y: &[bool],
+        w: &[f64],
+    ) -> (Vec<f64>, usize) {
+        fn sigmoid(z: f64) -> f64 {
+            if z >= 0.0 {
+                1.0 / (1.0 + (-z).exp())
+            } else {
+                let e = z.exp();
+                e / (1.0 + e)
+            }
+        }
+        let (n, d) = (xs.rows(), xs.cols());
+        let sum_w: f64 = w.iter().sum();
+        let mut theta = vec![0.0f64; d + 1];
+        let mut grad = vec![0.0f64; d + 1];
+        let mut epochs_run = 0;
+        for _ in 0..config.max_epochs {
+            epochs_run += 1;
+            grad.iter_mut().for_each(|g| *g = 0.0);
+            for i in 0..n {
+                let row = xs.row(i);
+                let z = theta[0] + row.iter().zip(&theta[1..]).map(|(a, b)| a * b).sum::<f64>();
+                let err = (sigmoid(z) - f64::from(u8::from(y[i]))) * w[i];
+                grad[0] += err;
+                for (g, v) in grad[1..].iter_mut().zip(row) {
+                    *g += err * v;
+                }
+            }
+            let mut max_grad: f64 = 0.0;
+            for (j, g) in grad.iter_mut().enumerate() {
+                *g /= sum_w;
+                if j > 0 {
+                    *g += config.l2 * theta[j];
+                }
+                max_grad = max_grad.max(g.abs());
+            }
+            for (t, g) in theta.iter_mut().zip(&grad) {
+                *t -= config.learning_rate * g;
+            }
+            if max_grad < config.tol {
+                break;
+            }
+        }
+        (theta, epochs_run)
+    }
+
+    #[test]
+    fn column_major_epochs_match_the_row_wise_loop_bit_for_bit() {
+        use crate::rand_util::{normal, rng_from_seed};
+        use rand::RngExt;
+        let mut rng = rng_from_seed(0x10_9e55);
+        for case in 0..16 {
+            let n = rng.random_range(1..=240usize);
+            let d = rng.random_range(1..=6usize);
+            let scale = [1e-3, 1.0, 40.0][case % 3];
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..d).map(|_| normal(&mut rng, 0.5, scale)).collect())
+                .collect();
+            let x = Matrix::from_vec(n, d, rows.concat()).unwrap();
+            let y: Vec<bool> = rows
+                .iter()
+                .map(|r| r.iter().sum::<f64>() / scale + normal(&mut rng, 0.0, 1.0) > 0.5)
+                .collect();
+            let w: Vec<f64> = (0..n).map(|_| rng.random_range(0.05..5.0)).collect();
+            let config = LogisticRegressionConfig {
+                learning_rate: [0.5, 0.1, 2.0][case % 3],
+                max_epochs: 300,
+                l2: [0.0, 1e-4, 0.3][case % 3],
+                // Some cases converge early, so the stopping epoch is
+                // compared too.
+                tol: [1e-7, 1e-3][case % 2],
+                standardize: case % 4 != 0,
+            };
+            let mut model = LogisticRegression::new(config.clone()).unwrap();
+            model.fit(&x, &y, Some(&w)).unwrap();
+            let xs = if config.standardize {
+                StandardScaler::new().fit_transform(&x).unwrap()
+            } else {
+                x.clone()
+            };
+            // `fit` trains on the weights rescaled to mean 1.
+            let w = validate_fit_inputs(&x, &y, Some(&w)).unwrap();
+            let (theta, epochs_run) = row_wise_theta(&config, &xs, &y, &w);
+            assert_eq!(model.epochs_run(), epochs_run, "case {case}");
+            let bits = |t: &[f64]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&model.theta), bits(&theta), "case {case}: n={n} d={d}");
+        }
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! [`QueryService::dispatch`], and encodes the returned
 //! [`fsi_proto::Response`]. Nothing else in the system answers queries.
 //!
-//! A service coordinates a [`Topology`] of
-//! [`ShardBackend`](crate::topology::ShardBackend)s: point
+//! A service coordinates a [`Topology`] of [`ShardBackend`]s: point
 //! lookups route to exactly one shard (answered in-process for local
 //! shards, forwarded for remote ones), range queries scatter-gather
-//! across the intersected shards and merge, stats report a per-shard
-//! breakdown, and (when constructed with a dataset via
-//! [`QueryService::with_rebuild`]) rebuilds run a **two-phase
+//! across the intersected shards and merge (threads are spawned only to
+//! overlap transport round-trips — see `QueryService::fanout`), stats
+//! report a per-shard breakdown, and (when constructed with a dataset
+//! via [`QueryService::with_rebuild`]) rebuilds run a **two-phase
 //! generation barrier**: every shard stages the retrained index before
 //! any shard publishes, so no client ever observes a mixed-generation
 //! fleet mid-rebuild.
@@ -26,7 +26,7 @@ use crate::obs::{
     SlowQuerySink, KINDS, K_LOOKUP,
 };
 use crate::rebuild::build_index;
-use crate::topology::Topology;
+use crate::topology::{ShardBackend, Topology};
 use crate::{IndexReader, RebuildReport, ServeError};
 use fsi_cache::{CacheKey, CacheScope, CacheSpec, CacheStats, FrontedLru, ShardedLru};
 use fsi_core::CellStats;
@@ -193,10 +193,15 @@ impl IngestState {
 /// What one shard slot looks like from this service clone: a private
 /// [`IndexReader`] over the local shard's handle (the lock-free hot
 /// path), or a marker that queries must be forwarded through the
-/// topology's boxed backend.
+/// topology's boxed backend. `transport` records, once at construction,
+/// whether a socket sits under that backend
+/// ([`ShardBackend::transport_stats`] is `Some`): only those slots'
+/// round-trips are worth overlapping on threads in
+/// [`QueryService::fanout`]. Replica sets of local shards and wrappers
+/// over in-process backends have none.
 enum ShardSlot {
     Local(IndexReader),
-    Remote,
+    Remote { transport: bool },
 }
 
 /// Which rebuild histogram a shard-phase duration lands in.
@@ -218,6 +223,13 @@ fn batch_oob(index: usize, wp: &WirePoint) -> Response {
             wp.x, wp.y
         ),
     )
+}
+
+/// One backend round-trip with its wall-clock duration in nanoseconds.
+fn timed_dispatch(backend: &dyn ShardBackend, request: &Request) -> (Response, u64) {
+    let started = Instant::now();
+    let response = backend.dispatch(request);
+    (response, saturating_nanos(started.elapsed()))
 }
 
 /// Best-effort abort fan-out: drops staged rebuild state on every shard
@@ -387,7 +399,9 @@ impl QueryService {
             .iter()
             .map(|b| match b.as_local() {
                 Some(local) => ShardSlot::Local(local.reader()),
-                None => ShardSlot::Remote,
+                None => ShardSlot::Remote {
+                    transport: b.transport_stats().is_some(),
+                },
             })
             .collect();
         let n_shards = slots.len();
@@ -554,28 +568,35 @@ impl QueryService {
     }
 
     /// Forwards one request to the backend of a remote shard slot,
-    /// timing the round-trip and counting transport failures into the
-    /// per-shard telemetry. An `internal`-code failure additionally
-    /// gains the shard index and address in its message, so a
-    /// multi-shard fleet's transport errors are attributable from the
-    /// error body alone; every other code (out-of-bounds, not-prepared,
-    /// …) passes through untouched — those are the shard's own answers,
-    /// not transport context.
+    /// timing the round-trip into the per-shard telemetry (see
+    /// [`Self::account`]).
     fn remote_dispatch(&self, shard: usize, request: &Request) -> Response {
         let backend = &self.topology.backends()[shard];
-        let Some(obs) = &self.obs else {
+        if self.obs.is_none() {
             return backend.dispatch(request);
+        }
+        let (response, nanos) = timed_dispatch(backend.as_ref(), request);
+        self.account(shard, response, nanos)
+    }
+
+    /// Records one forwarded round-trip in the per-shard telemetry and
+    /// counts transport failures. An `internal`-code failure
+    /// additionally gains the shard index and address in its message,
+    /// so a multi-shard fleet's transport errors are attributable from
+    /// the error body alone; every other code (out-of-bounds,
+    /// not-prepared, …) passes through untouched — those are the
+    /// shard's own answers, not transport context.
+    fn account(&self, shard: usize, response: Response, nanos: u64) -> Response {
+        let Some(obs) = &self.obs else {
+            return response;
         };
-        let started = Instant::now();
-        let response = backend.dispatch(request);
-        let nanos = saturating_nanos(started.elapsed());
         let sm = &obs.shards[shard];
         sm.requests.inc();
         sm.round_trip.record(nanos);
         match response {
             Response::Error { error } if error.code == ErrorCode::Internal => {
                 sm.failures.inc();
-                let addr = backend
+                let addr = self.topology.backends()[shard]
                     .descriptor()
                     .addr
                     .unwrap_or_else(|| "<no addr>".into());
@@ -588,128 +609,53 @@ impl QueryService {
         }
     }
 
-    /// Fans one request out to the given remote shard slots
-    /// concurrently — scoped threads, one per shard, the same shape the
-    /// two-phase prepare fan-out uses — and returns each shard's
-    /// response paired with its slot index, in input order. Telemetry
-    /// matches the sequential [`remote_dispatch`](Self::remote_dispatch)
-    /// path exactly: per-shard request counters and round-trip
-    /// histograms, transport failures counted, and `internal`-code
-    /// errors gaining the shard index and address. With zero or one
-    /// shard the scope is skipped entirely, so single-remote topologies
-    /// pay no thread-spawn cost.
-    fn remote_fanout(&self, shards: &[usize], request: &Request) -> Vec<(usize, Response)> {
-        if shards.len() <= 1 {
-            return shards
-                .iter()
-                .map(|&shard| (shard, self.remote_dispatch(shard, request)))
-                .collect();
+    /// Forwards each `(shard, request)` job to its remote slot and
+    /// returns the answers paired with their slot index, in job order,
+    /// with exactly the telemetry of [`Self::remote_dispatch`].
+    ///
+    /// Threads are spawned only where there is I/O to overlap. Jobs on
+    /// in-process slots answer inline on the calling worker: their work
+    /// takes microseconds, while spawning and joining a scoped thread
+    /// costs 100 µs or more. Jobs on transport-backed slots overlap
+    /// their round-trips: each but the last runs on a scoped thread and
+    /// the caller runs the last one itself, so `k` transport-backed
+    /// jobs cost `k − 1` spawns.
+    fn fanout(&self, jobs: &[(usize, Request)]) -> Vec<(usize, Response)> {
+        let mut spawn: Vec<bool> = jobs
+            .iter()
+            .map(|(shard, _)| matches!(self.slots[*shard], ShardSlot::Remote { transport: true }))
+            .collect();
+        if let Some(last) = spawn.iter().rposition(|&s| s) {
+            spawn[last] = false;
         }
         let backends = self.topology.backends();
-        let timed: Vec<(usize, Response, Duration)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = shards
-                .iter()
-                .map(|&i| {
-                    let backend = &backends[i];
-                    scope.spawn(move || {
-                        let started = Instant::now();
-                        let response = backend.dispatch(request);
-                        (i, response, started.elapsed())
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("fan-out worker panicked"))
-                .collect()
-        });
-        timed
-            .into_iter()
-            .map(|(i, response, elapsed)| {
-                let Some(obs) = &self.obs else {
-                    return (i, response);
-                };
-                let sm = &obs.shards[i];
-                sm.requests.inc();
-                sm.round_trip.record(saturating_nanos(elapsed));
-                let response = match response {
-                    Response::Error { error } if error.code == ErrorCode::Internal => {
-                        sm.failures.inc();
-                        let addr = backends[i]
-                            .descriptor()
-                            .addr
-                            .unwrap_or_else(|| "<no addr>".into());
-                        Response::error(
-                            ErrorCode::Internal,
-                            format!("shard {i} at {addr}: {}", error.message),
-                        )
-                    }
-                    other => other,
-                };
-                (i, response)
-            })
-            .collect()
-    }
-
-    /// [`Self::remote_fanout`] with a *different* request per shard —
-    /// the shape batched lookups need, where each shard receives its
-    /// own sub-batch. Same concurrency (scoped threads, one per job),
-    /// same telemetry, same single-job fast path that skips the scope.
-    fn remote_fanout_each(&self, jobs: Vec<(usize, Request)>) -> Vec<(usize, Response)> {
-        if jobs.len() <= 1 {
-            return jobs
-                .into_iter()
-                .map(|(shard, request)| {
-                    let response = self.remote_dispatch(shard, &request);
-                    (shard, response)
-                })
-                .collect();
-        }
-        let backends = self.topology.backends();
-        let timed: Vec<(usize, Response, Duration)> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let workers: Vec<_> = jobs
                 .iter()
-                .map(|(i, request)| {
-                    let i = *i;
-                    let backend = &backends[i];
-                    scope.spawn(move || {
-                        let started = Instant::now();
-                        let response = backend.dispatch(request);
-                        (i, response, started.elapsed())
-                    })
+                .zip(&spawn)
+                .enumerate()
+                .filter(|(_, (_, &spawn))| spawn)
+                .map(|(k, ((shard, request), _))| {
+                    let backend = backends[*shard].as_ref();
+                    (k, scope.spawn(move || timed_dispatch(backend, request)))
                 })
                 .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("fan-out worker panicked"))
+            let mut answers: Vec<Option<Response>> = jobs
+                .iter()
+                .zip(&spawn)
+                .map(|((shard, request), &spawn)| {
+                    (!spawn).then(|| self.remote_dispatch(*shard, request))
+                })
+                .collect();
+            for (k, worker) in workers {
+                let (response, nanos) = worker.join().expect("fan-out worker panicked");
+                answers[k] = Some(self.account(jobs[k].0, response, nanos));
+            }
+            jobs.iter()
+                .zip(answers)
+                .map(|((shard, _), answer)| (*shard, answer.expect("every fan-out job answered")))
                 .collect()
-        });
-        timed
-            .into_iter()
-            .map(|(i, response, elapsed)| {
-                let Some(obs) = &self.obs else {
-                    return (i, response);
-                };
-                let sm = &obs.shards[i];
-                sm.requests.inc();
-                sm.round_trip.record(saturating_nanos(elapsed));
-                let response = match response {
-                    Response::Error { error } if error.code == ErrorCode::Internal => {
-                        sm.failures.inc();
-                        let addr = backends[i]
-                            .descriptor()
-                            .addr
-                            .unwrap_or_else(|| "<no addr>".into());
-                        Response::error(
-                            ErrorCode::Internal,
-                            format!("shard {i} at {addr}: {}", error.message),
-                        )
-                    }
-                    other => other,
-                };
-                (i, response)
-            })
-            .collect()
+        })
     }
 
     #[inline]
@@ -735,7 +681,7 @@ impl QueryService {
         };
         let decision = match shard {
             Some(shard) => {
-                if matches!(self.slots[shard], ShardSlot::Remote) {
+                if matches!(self.slots[shard], ShardSlot::Remote { .. }) {
                     let response = self.remote_dispatch(shard, &Request::Lookup { x, y });
                     if count_errors {
                         if let Response::Error { error } = &response {
@@ -749,7 +695,7 @@ impl QueryService {
                 } else {
                     match &mut self.slots[shard] {
                         ShardSlot::Local(reader) => reader.snapshot().lookup(&p),
-                        ShardSlot::Remote => None,
+                        ShardSlot::Remote { .. } => None,
                     }
                 }
             }
@@ -825,7 +771,7 @@ impl QueryService {
                     self.decisions.clear();
                     return batch_oob(i, wp);
                 };
-                if matches!(self.slots[shard], ShardSlot::Remote) {
+                if matches!(self.slots[shard], ShardSlot::Remote { .. }) {
                     match self.remote_dispatch(shard, &Request::Lookup { x: wp.x, y: wp.y }) {
                         Response::Decision { decision } => self.decisions.push(decision.into()),
                         Response::Error { error } if error.code == ErrorCode::OutOfBounds => {
@@ -897,12 +843,12 @@ impl QueryService {
                     Some(d) => out[i] = Some(d.into()),
                     None => return batch_oob(i, wp),
                 },
-                ShardSlot::Remote => buckets[shard].push(i),
+                ShardSlot::Remote { .. } => buckets[shard].push(i),
             }
         }
-        // The per-shard sub-batches fan out concurrently — one scoped
-        // thread per shard, like every other scatter — instead of
-        // paying the shards' round-trips back to back.
+        // The per-shard sub-batches go through `fanout`: in-process
+        // slots answer inline, transport-backed ones overlap their
+        // round-trips.
         let jobs: Vec<(usize, Request)> = buckets
             .iter()
             .enumerate()
@@ -912,7 +858,7 @@ impl QueryService {
                 (shard, Request::LookupBatch { points: sub })
             })
             .collect();
-        for (shard, response) in self.remote_fanout_each(jobs) {
+        for (shard, response) in self.fanout(&jobs) {
             let bucket = &buckets[shard];
             match response {
                 Response::Decisions { decisions } if decisions.len() == bucket.len() => {
@@ -1001,7 +947,7 @@ impl QueryService {
         }
         if self.slots.len() > 1 {
             if let Some(shard) = self.topology.shard_of(&Point::new(x, y)) {
-                if matches!(self.slots[shard], ShardSlot::Remote) {
+                if matches!(self.slots[shard], ShardSlot::Remote { .. }) {
                     let _ = self.remote_dispatch(shard, &Request::Ingest { x, y, group, label });
                 }
             }
@@ -1029,7 +975,7 @@ impl QueryService {
             accepted += 1;
             if self.slots.len() > 1 {
                 if let Some(shard) = self.topology.shard_of(&Point::new(b.x, b.y)) {
-                    if matches!(self.slots[shard], ShardSlot::Remote) {
+                    if matches!(self.slots[shard], ShardSlot::Remote { .. }) {
                         buckets[shard].push(*b);
                     }
                 }
@@ -1056,16 +1002,15 @@ impl QueryService {
         };
         let shards = self.topology.covering(&query);
         let mut ids: Vec<usize> = Vec::new();
-        let mut remote: Vec<usize> = Vec::new();
+        let mut jobs: Vec<(usize, Request)> = Vec::new();
         for shard in shards {
             if let ShardSlot::Local(reader) = &mut self.slots[shard] {
                 ids.extend(reader.snapshot().range_query(&query));
             } else {
-                remote.push(shard);
+                jobs.push((shard, Request::RangeQuery { rect: *rect }));
             }
         }
-        let request = Request::RangeQuery { rect: *rect };
-        for (shard, response) in self.remote_fanout(&remote, &request) {
+        for (shard, response) in self.fanout(&jobs) {
             match response {
                 Response::Regions { ids: shard_ids } => ids.extend(shard_ids),
                 Response::Error { error } => return Response::Error { error },
@@ -1095,7 +1040,7 @@ impl QueryService {
             }
         });
         let mut per_shard: Vec<Option<ShardStatsBody>> = Vec::with_capacity(self.slots.len());
-        let mut remote: Vec<usize> = Vec::new();
+        let mut jobs: Vec<(usize, Request)> = Vec::new();
         for shard in 0..self.slots.len() {
             let d = self.topology.backends()[shard].descriptor();
             if let ShardSlot::Local(reader) = &mut self.slots[shard] {
@@ -1112,10 +1057,10 @@ impl QueryService {
                 }));
             } else {
                 per_shard.push(None);
-                remote.push(shard);
+                jobs.push((shard, Request::Stats));
             }
         }
-        for (shard, response) in self.remote_fanout(&remote, &Request::Stats) {
+        for (shard, response) in self.fanout(&jobs) {
             let d = self.topology.backends()[shard].descriptor();
             per_shard[shard] = Some(match response {
                 Response::Stats { stats } => ShardStatsBody {
@@ -1221,10 +1166,11 @@ impl QueryService {
         self.flush_pending();
         let mut body = self.snapshot_body();
         if self.obs.is_some() {
-            let remote: Vec<usize> = (0..self.slots.len())
-                .filter(|&shard| matches!(self.slots[shard], ShardSlot::Remote))
+            let jobs: Vec<(usize, Request)> = (0..self.slots.len())
+                .filter(|&shard| matches!(self.slots[shard], ShardSlot::Remote { .. }))
+                .map(|shard| (shard, Request::Metrics))
                 .collect();
-            for (shard, response) in self.remote_fanout(&remote, &Request::Metrics) {
+            for (shard, response) in self.fanout(&jobs) {
                 if let Response::Metrics { metrics } = response {
                     body.shards[shard].remote = Some(metrics);
                 }
@@ -2864,5 +2810,158 @@ mod tests {
         };
         assert_eq!(report.generation, 2);
         assert_eq!(svc.topology().generations(), vec![2, 2, 2, 2]);
+    }
+
+    /// Which shard slot ran a forwarded request, and on which thread.
+    type ThreadLog = Arc<Mutex<Vec<(usize, std::thread::ThreadId)>>>;
+
+    /// A [`StubRemote`] that logs the thread each request runs on and
+    /// reports a transport underneath only when `transport` is set —
+    /// the hook [`QueryService::fanout`] decides spawning by.
+    struct Recording {
+        slot: usize,
+        transport: bool,
+        inner: Mutex<QueryService>,
+        log: ThreadLog,
+    }
+
+    impl ShardBackend for Recording {
+        fn dispatch(&self, request: &Request) -> Response {
+            let me = std::thread::current().id();
+            self.log.lock().unwrap().push((self.slot, me));
+            self.inner.lock().unwrap().dispatch(request)
+        }
+
+        fn descriptor(&self) -> ShardDescriptor {
+            ShardDescriptor {
+                kind: "http",
+                addr: Some(format!("shard:{}", self.slot)),
+            }
+        }
+
+        fn generation(&self) -> u64 {
+            1
+        }
+
+        fn transport_stats(&self) -> Option<crate::TransportStats> {
+            self.transport.then(crate::TransportStats::default)
+        }
+    }
+
+    /// A 2×2 coordinator whose every slot is a [`Recording`] over its
+    /// partial index; `transport[i]` says whether slot `i` claims a
+    /// transport.
+    fn recorded(transport: [bool; 4]) -> (QueryService, ThreadLog) {
+        let log = ThreadLog::default();
+        let spec = TopologySpec {
+            rows: 2,
+            cols: 2,
+            shards: (0..4)
+                .map(|i| BackendSpec::Http(format!("shard:{i}")))
+                .collect(),
+        };
+        let topology = Topology::from_spec(&spec, index(), |addr: &str| {
+            let slot: usize = addr.strip_prefix("shard:").unwrap().parse().unwrap();
+            let inner = QueryService::new(Topology::partial(&index(), 2, 2, slot).unwrap());
+            Ok(Box::new(Recording {
+                slot,
+                transport: transport[slot],
+                inner: Mutex::new(inner),
+                log: Arc::clone(&log),
+            }) as Box<dyn ShardBackend>)
+        })
+        .unwrap();
+        (QueryService::new(topology), log)
+    }
+
+    /// Requests that fan out to every slot of a 2×2 topology.
+    fn fanned_requests() -> Vec<Request> {
+        let centers: Vec<WirePoint> = (0..64)
+            .map(|i| WirePoint::new(((i % 8) as f64 + 0.5) / 8.0, ((i / 8) as f64 + 0.5) / 8.0))
+            .collect();
+        vec![
+            Request::LookupBatch { points: centers },
+            Request::RangeQuery {
+                rect: WireRect::new(0.0, 0.0, 1.0, 1.0),
+            },
+            Request::Stats,
+            Request::Metrics,
+        ]
+    }
+
+    #[test]
+    fn fanout_spawns_only_for_transport_backed_slots_and_the_caller_runs_one() {
+        let caller = std::thread::current().id();
+        for transport in [
+            [false; 4],
+            [true; 4],
+            [false, true, true, false],
+            [true, false, false, false],
+        ] {
+            let (mut svc, log) = recorded(transport);
+            for request in fanned_requests() {
+                log.lock().unwrap().clear();
+                assert!(
+                    !matches!(svc.dispatch(&request), Response::Error { .. }),
+                    "{request:?}"
+                );
+                let ran = std::mem::take(&mut *log.lock().unwrap());
+                let mut slots: Vec<usize> = ran.iter().map(|&(slot, _)| slot).collect();
+                slots.sort_unstable();
+                assert_eq!(slots, vec![0, 1, 2, 3], "{transport:?} {request:?}");
+                for &(slot, thread) in ran.iter().filter(|(slot, _)| !transport[*slot]) {
+                    assert_eq!(thread, caller, "in-process slot {slot} ran inline");
+                }
+                let threads: Vec<_> = ran
+                    .iter()
+                    .filter(|(slot, _)| transport[*slot])
+                    .map(|&(_, thread)| thread)
+                    .collect();
+                if !threads.is_empty() {
+                    let on_caller = threads.iter().filter(|&&t| t == caller).count();
+                    assert_eq!(on_caller, 1, "{transport:?} {request:?}");
+                    let distinct: std::collections::HashSet<_> = threads.iter().collect();
+                    assert_eq!(distinct.len(), threads.len(), "one thread per spawned job");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inline_and_threaded_fanouts_answer_and_count_alike() {
+        let (mut inline, _) = recorded([false; 4]);
+        let (mut threaded, _) = recorded([true; 4]);
+        let mut requests = fanned_requests();
+        requests.extend([
+            Request::RangeQuery {
+                rect: WireRect::new(0.1, 0.1, 0.2, 0.2),
+            },
+            Request::RangeQuery {
+                rect: WireRect::new(0.1, 0.1, 0.9, 0.2),
+            },
+            Request::Lookup { x: 0.9, y: 0.9 },
+            Request::LookupBatch {
+                points: vec![WirePoint::new(0.1, 0.1), WirePoint::new(9.0, 0.1)],
+            },
+        ]);
+        for request in &requests {
+            let (a, b) = (inline.dispatch(request), threaded.dispatch(request));
+            if !matches!(request, Request::Metrics | Request::Stats) {
+                assert_eq!(a, b, "{request:?}");
+            }
+        }
+        let (a, b) = (inline.metrics_snapshot(), threaded.metrics_snapshot());
+        for (x, y) in a.shards.iter().zip(&b.shards) {
+            assert!(x.requests > 0, "{x:?}");
+            assert_eq!(x.requests, y.requests, "shard {}", x.shard);
+            assert_eq!(x.failures, y.failures, "shard {}", x.shard);
+            assert_eq!(
+                x.round_trip.count(),
+                y.round_trip.count(),
+                "shard {}",
+                x.shard
+            );
+            assert_eq!(x.round_trip.count(), x.requests, "shard {}", x.shard);
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! under concurrent keep-alive clients.
 
 use fsi::{
-    BackendSpec, DecisionBody, IngestBody, MaintenanceSpec, Method, Pipeline, Request, Response,
-    TaskSpec, TopologySpec, WirePoint, WireRect,
+    BackendSpec, DecisionBody, IngestBody, MaintenanceSpec, Method, Pipeline, Request,
+    ResiliencePolicy, Response, TaskSpec, TopologySpec, WirePoint, WireRect,
 };
 use fsi_data::synth::city::{CityConfig, CityGenerator};
 use fsi_data::SpatialDataset;
@@ -964,4 +964,137 @@ fn stats_and_metrics_degrade_gracefully_when_a_shard_dies() {
     switch.set_down(false);
     assert_stats(coordinator.dispatch(&Request::Stats), false);
     shard1.shutdown();
+}
+
+/// A 2×2 topology whose every slot is `{"replicas":["local","local"]}`
+/// (the shape the end-to-end benchmark deploys) has no transport under
+/// any slot, so the coordinator answers its fan-outs inline on the
+/// calling thread. Batches, range queries over 1, 2 and 4 shards,
+/// stats, metrics and health must still answer exactly what one
+/// reference `FrozenIndex` and a plain-local 2×2 coordinator answer,
+/// floats compared by bit pattern.
+#[test]
+fn replica_slot_topology_fans_out_inline_and_answers_bit_identically() {
+    let d = dataset();
+    let run = Pipeline::on(&d)
+        .task(TaskSpec::act())
+        .method(Method::FairKd)
+        .height(5)
+        .run()
+        .unwrap();
+    let reference = run.freeze().unwrap();
+    let serving = run.serve().unwrap();
+    let spec = TopologySpec {
+        rows: 2,
+        cols: 2,
+        shards: vec![BackendSpec::Replicas(vec![BackendSpec::Local, BackendSpec::Local]); 4],
+    };
+    let mut coordinator = serving
+        .service_over_with(&spec, ResiliencePolicy::default())
+        .unwrap()
+        .with_metrics(true);
+    let mut plain = serving.service_over(&TopologySpec::local(2, 2)).unwrap();
+
+    // Batches gather every shard's sub-batch back into request order.
+    let points = query_points(d.grid(), 400, 83);
+    let wire: Vec<WirePoint> = points.iter().map(|p| WirePoint::new(p.x, p.y)).collect();
+    match coordinator.dispatch(&Request::LookupBatch {
+        points: wire.clone(),
+    }) {
+        Response::Decisions { decisions } => {
+            assert_eq!(decisions.len(), points.len());
+            for (p, d) in points.iter().zip(&decisions) {
+                let r = reference.lookup(p).expect("query points are in bounds");
+                assert_eq!(d.leaf_id, r.leaf_id, "{p:?}");
+                assert_eq!(d.group, r.group, "{p:?}");
+                assert_eq!(d.raw_score.to_bits(), r.raw_score.to_bits(), "{p:?}");
+                assert_eq!(
+                    d.calibrated_score.to_bits(),
+                    r.calibrated_score.to_bits(),
+                    "{p:?}"
+                );
+            }
+        }
+        other => panic!("expected decisions, got {other:?}"),
+    }
+    let b = *d.grid().bounds();
+    let mut bad = wire;
+    bad[211] = WirePoint::new(b.max_x + 1.0, b.min_y);
+    match coordinator.dispatch(&Request::LookupBatch { points: bad }) {
+        Response::Error { error } => {
+            assert_eq!(error.code, fsi::ErrorCode::OutOfBounds);
+            assert!(error.message.contains("#211"), "{}", error.message);
+        }
+        other => panic!("expected an out-of-bounds error, got {other:?}"),
+    }
+
+    // Range queries covering one, two and all four shards.
+    let at = |x0: f64, y0: f64, x1: f64, y1: f64| {
+        WireRect::new(
+            b.min_x + x0 * b.width(),
+            b.min_y + y0 * b.height(),
+            b.min_x + x1 * b.width(),
+            b.min_y + y1 * b.height(),
+        )
+    };
+    for (rect, covered) in [
+        (at(0.1, 0.1, 0.3, 0.3), 1),
+        (at(0.3, 0.1, 0.7, 0.3), 2),
+        (at(0.3, 0.3, 0.7, 0.7), 4),
+    ] {
+        let query = Rect::new(rect.min_x, rect.min_y, rect.max_x, rect.max_y).unwrap();
+        assert_eq!(coordinator.topology().covering(&query).len(), covered);
+        match coordinator.dispatch(&Request::RangeQuery { rect }) {
+            Response::Regions { ids } => assert_eq!(ids, reference.range_query(&query), "{rect:?}"),
+            other => panic!("expected regions, got {other:?}"),
+        }
+    }
+
+    // Stats: every replica slot reports what the plain local slot does.
+    let per_shard = |svc: &mut fsi::QueryService| match svc.dispatch(&Request::Stats) {
+        Response::Stats { stats } => stats.per_shard.expect("topology stats are per-shard"),
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let (replicated, local) = (per_shard(&mut coordinator), per_shard(&mut plain));
+    assert_eq!(replicated.len(), 4);
+    for (r, l) in replicated.iter().zip(&local) {
+        assert_eq!(r.kind, "replicas");
+        assert!(r.unreachable.is_none(), "{r:?}");
+        assert_eq!(
+            (r.generation, r.num_leaves, r.heap_bytes, &r.backend),
+            (l.generation, l.num_leaves, l.heap_bytes, &l.backend)
+        );
+    }
+
+    // Metrics: every slot was forwarded to, once per round-trip timed,
+    // and scraped.
+    match coordinator.dispatch(&Request::Metrics) {
+        Response::Metrics { metrics } => {
+            assert_eq!(metrics.shards.len(), 4);
+            for shard in &metrics.shards {
+                assert!(shard.requests > 0, "{shard:?}");
+                assert_eq!(shard.failures, 0, "{shard:?}");
+                assert_eq!(shard.round_trip.count(), shard.requests, "{shard:?}");
+                assert!(
+                    shard.remote.is_some(),
+                    "replica slot {} scraped",
+                    shard.shard
+                );
+            }
+        }
+        other => panic!("expected metrics, got {other:?}"),
+    }
+
+    // Health: every slot up, with both replicas' breakers closed.
+    match coordinator.dispatch(&Request::Health) {
+        Response::Health { health } => {
+            assert_eq!(health.shards.len(), 4);
+            for (i, shard) in health.shards.iter().enumerate() {
+                assert_eq!(shard.shard, i);
+                assert_eq!(shard.state, "up", "{shard:?}");
+                assert_eq!(shard.replicas.len(), 2, "{shard:?}");
+            }
+        }
+        other => panic!("expected health, got {other:?}"),
+    }
 }
