@@ -22,9 +22,6 @@
 //!   multi-threaded driver scaling.
 //! * [`suites::proto`] — the typed query protocol: wire encode/decode,
 //!   `QueryService` dispatch overhead, and HTTP loopback throughput.
-//! * [`suites::cache`] — the LRU decision cache in front of the
-//!   service: cold, hot and Zipf-skewed dispatch throughput plus the
-//!   uncached twin the ≥ 3x acceptance bar divides against.
 //! * [`suites::dist`] — distributed serving: the scatter-gather
 //!   coordinator vs a single box, and keep-alive HTTP round-trips to a
 //!   remote shard.
@@ -35,6 +32,9 @@
 //!   `Request::Ingest` throughput, the per-poll drift-check cost, and
 //!   the live-vs-frozen lookup twins (with the in-suite ≤ 1.10x
 //!   ingest-while-serving gate).
+//! * [`suites::resil`] — the replica-set layer: healthy single-member
+//!   dispatch against its bare member (with the in-suite ≤ 1.10x
+//!   gate), plus failover and open-breaker lookups.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

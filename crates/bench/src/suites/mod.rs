@@ -1,4 +1,4 @@
-//! The eleven benchmark suites, parameterized by a size [`Profile`].
+//! The ten benchmark suites, parameterized by a size [`Profile`].
 //!
 //! Each suite exposes `register(c, profile)` so the same measurement code
 //! drives both entry points:
@@ -6,7 +6,7 @@
 //! * the classic `cargo bench` harnesses in `benches/*.rs` (one binary
 //!   per suite, full-size datasets);
 //! * the `fsi-bench` runner binary (`cargo run -p fsi-bench --bin
-//!   runner`), which runs all eleven suites in one process under either
+//!   runner`), which runs all ten suites in one process under either
 //!   the `--smoke` or `--full` profile and records the repo's perf
 //!   baseline.
 //!
@@ -16,7 +16,6 @@
 use criterion::Criterion;
 use std::time::Duration;
 
-pub mod cache;
 pub mod construction;
 pub mod dist;
 pub mod ingest;
@@ -108,7 +107,7 @@ impl Profile {
     }
 }
 
-/// Registers all eleven suites on one driver, in baseline order.
+/// Registers all ten suites on one driver, in baseline order.
 pub fn register_all(c: &mut Criterion, profile: &Profile) {
     construction::register(c, profile);
     split_search::register(c, profile);
@@ -116,7 +115,6 @@ pub fn register_all(c: &mut Criterion, profile: &Profile) {
     metrics::register(c, profile);
     serving::register(c, profile);
     proto::register(c, profile);
-    cache::register(c, profile);
     dist::register(c, profile);
     obs::register(c, profile);
     ingest::register(c, profile);

@@ -41,7 +41,7 @@ impl KdNode {
     /// `None` for leaves.
     ///
     /// This resolves the node's region-relative `offset` into the global
-    /// coordinate external index compilers (e.g. `fsi-serve`) need.
+    /// coordinate external consumers (renderers, index compilers) need.
     pub fn split_boundary(&self) -> Option<(Axis, usize)> {
         match &self.kind {
             NodeKind::Leaf { .. } => None,

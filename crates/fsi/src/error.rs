@@ -176,11 +176,7 @@ mod tests {
         assert!(matches!(e, FsiError::Ml(_)), "{e:?}");
         let e: FsiError = ServeError::Pipeline(PipelineError::Geo(GeoError::NoSeeds)).into();
         assert!(matches!(e, FsiError::Geo(_)), "{e:?}");
-        let e: FsiError = ServeError::TooManyLeaves {
-            leaves: 70000,
-            max: 65535,
-        }
-        .into();
+        let e: FsiError = ServeError::NotStaged.into();
         assert!(matches!(e, FsiError::Serve(_)), "{e:?}");
         let e: FsiError = PipelineError::InvalidConfig("bad".into()).into();
         assert!(matches!(e, FsiError::InvalidSpec(_)), "{e:?}");

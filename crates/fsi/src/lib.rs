@@ -76,9 +76,8 @@ pub use fsi_resil::{
     ChaosShard, ChaosSwitch, CircuitBreaker, ReplicaSet, ResilError, ResiliencePolicy,
 };
 pub use fsi_serve::{
-    prometheus_text, BackendSpec, CacheError, CacheScope, CacheSpec, CacheStats, Decision,
-    FrozenIndex, IndexHandle, IndexReader, IngestError, LocalShard, MaintenanceHandle,
-    MaintenanceSpec, MaintenanceTrigger, QueryService, RebuildReport, Rebuilder, ShardBackend,
-    ShardDescriptor, SlotConnector, SlowQueryRecord, SlowQuerySink, Topology, TopologySpec,
-    TransportStats,
+    prometheus_text, BackendSpec, Decision, FrozenIndex, IndexHandle, IndexReader, IngestError,
+    LocalShard, MaintenanceHandle, MaintenanceSpec, MaintenanceTrigger, QueryService,
+    RebuildReport, Rebuilder, ShardBackend, ShardDescriptor, SlotConnector, SlowQueryRecord,
+    SlowQuerySink, Topology, TopologySpec, TransportStats,
 };

@@ -14,8 +14,8 @@ use fsi_pipeline::{
     TaskSpec,
 };
 use fsi_serve::{
-    compile_run, CacheSpec, FrozenIndex, IndexHandle, IndexReader, MaintenanceHandle,
-    MaintenanceSpec, QueryService, RebuildReport, Rebuilder, Topology, TopologySpec,
+    compile_run, FrozenIndex, IndexHandle, IndexReader, MaintenanceHandle, MaintenanceSpec,
+    QueryService, RebuildReport, Rebuilder, Topology, TopologySpec,
 };
 use serde::{Deserialize, Serialize};
 use std::net::ToSocketAddrs;
@@ -263,24 +263,8 @@ impl<'d> Run<'d> {
             spec: self.spec.clone(),
             handle,
             rebuilder,
-            cache_spec: None,
             ingest_policy: None,
         })
-    }
-
-    /// [`Run::serve`] with a decision cache in front of every service
-    /// the deployment builds ([`Serving::service`],
-    /// [`Serving::service_over`], [`Serving::listen`]). The cache
-    /// spec is validated here, up front; decisions are keyed by (cell,
-    /// generation), so hot-swap rebuilds invalidate cached entries
-    /// implicitly.
-    pub fn serve_with_cache(&self, cache: CacheSpec) -> Result<Serving<'d>, FsiError> {
-        cache
-            .validate()
-            .map_err(|e| FsiError::from(fsi_serve::ServeError::Cache(e)))?;
-        let mut serving = self.serve()?;
-        serving.cache_spec = Some(cache);
-        Ok(serving)
     }
 
     /// [`Run::serve`] with streaming ingestion enabled on every
@@ -339,10 +323,6 @@ pub struct Serving<'d> {
     spec: PipelineSpec,
     handle: IndexHandle,
     rebuilder: Rebuilder,
-    /// Cache configuration applied to every service this deployment
-    /// builds; `None` serves uncached. Always validated before it lands
-    /// here ([`Run::serve_with_cache`]).
-    cache_spec: Option<CacheSpec>,
     /// Maintenance policy enabling streaming ingestion on every
     /// coordinator service this deployment builds; `None` serves
     /// read-only. Always validated before it lands here
@@ -409,17 +389,9 @@ impl Serving<'_> {
     /// service are visible to each other because they share the handle.
     pub fn service(&self) -> QueryService {
         self.apply_ingest(
-            self.apply_cache(
-                QueryService::new(Topology::single(self.handle.clone()))
-                    .with_rebuild(self.shared_dataset()),
-            ),
+            QueryService::new(Topology::single(self.handle.clone()))
+                .with_rebuild(self.shared_dataset()),
         )
-    }
-
-    /// The decision-cache configuration services are built with, when
-    /// the deployment was created via [`Run::serve_with_cache`].
-    pub fn cache_spec(&self) -> Option<&CacheSpec> {
-        self.cache_spec.as_ref()
     }
 
     /// The maintenance policy coordinator services are built with, when
@@ -445,16 +417,6 @@ impl Serving<'_> {
         };
         MaintenanceHandle::spawn(service.clone(), policy.clone(), self.spec.clone())
             .map_err(FsiError::from)
-    }
-
-    /// Attaches the deployment's cache spec (if any) to a service.
-    fn apply_cache(&self, service: QueryService) -> QueryService {
-        match self.cache_spec {
-            Some(spec) => service
-                .with_cache(spec)
-                .expect("cache spec validated when the deployment was created"),
-            None => service,
-        }
     }
 
     /// Enables streaming ingestion on a coordinator service when the
@@ -492,9 +454,7 @@ impl Serving<'_> {
         let index = self.handle.load().as_ref().clone();
         let topology = Topology::from_spec(spec, index, crate::http::RemoteShard::connector())
             .map_err(FsiError::from)?;
-        Ok(self.apply_ingest(
-            self.apply_cache(QueryService::new(topology).with_rebuild(self.shared_dataset())),
-        ))
+        Ok(self.apply_ingest(QueryService::new(topology).with_rebuild(self.shared_dataset())))
     }
 
     /// [`Serving::service_over`] with a resilience `policy`: topology
@@ -515,9 +475,7 @@ impl Serving<'_> {
             crate::http::ResilientConnector::new(policy).with_reconnect_attempts(reconnects);
         let index = self.handle.load().as_ref().clone();
         let topology = Topology::from_spec(spec, index, connector).map_err(FsiError::from)?;
-        Ok(self.apply_ingest(
-            self.apply_cache(QueryService::new(topology).with_rebuild(self.shared_dataset())),
-        ))
+        Ok(self.apply_ingest(QueryService::new(topology).with_rebuild(self.shared_dataset())))
     }
 
     /// The service a **shard server** runs for slot `shard` of the
@@ -535,22 +493,7 @@ impl Serving<'_> {
         let index = self.handle.load();
         let topology = Topology::partial(index.as_ref(), spec.rows, spec.cols, shard)
             .map_err(FsiError::from)?;
-        Ok(self.apply_cache(QueryService::new(topology).with_rebuild(self.shared_dataset())))
-    }
-
-    /// A service over a fresh `rows × cols` topology seeded with
-    /// **replicas** of the current snapshot — the pre-topology
-    /// semantics, kept as a migration shim and equivalence-tested
-    /// against [`Serving::service_over`].
-    #[deprecated(
-        since = "0.7.0",
-        note = "use `service_over(&TopologySpec::local(rows, cols))` — partial indexes \
-                instead of full replicas"
-    )]
-    pub fn service_sharded(&self, rows: usize, cols: usize) -> Result<QueryService, FsiError> {
-        let index = self.handle.load().as_ref().clone();
-        let topology = Topology::replicated(index, rows, cols).map_err(FsiError::from)?;
-        Ok(self.apply_cache(QueryService::new(topology).with_rebuild(self.shared_dataset())))
+        Ok(QueryService::new(topology).with_rebuild(self.shared_dataset()))
     }
 
     /// Attaches the HTTP/1.1 JSON transport to this deployment: binds
@@ -703,68 +646,26 @@ mod tests {
         assert_ne!(before.raw_score, after.raw_score);
     }
 
+    /// The sharded serving plane answers every query exactly like the
+    /// single-box service, from smaller per-shard indexes.
     #[test]
-    fn serve_with_cache_caches_every_service_and_answers_identically() {
-        use fsi_proto::{Request, Response};
-        let d = dataset();
-        let run = Pipeline::on(&d).height(3).run().unwrap();
-        let cached_serving = run.serve_with_cache(CacheSpec::per_worker(256)).unwrap();
-        assert_eq!(cached_serving.cache_spec().unwrap().capacity, 256);
-        let mut cached = cached_serving.service();
-        let mut uncached = run.serve().unwrap().service();
-        assert!(cached.cache_spec().is_some());
-        assert!(uncached.cache_spec().is_none());
-        // Two passes over the same points: identical answers, and the
-        // second pass is served from the cache.
-        for _pass in 0..2 {
-            for p in d.locations().iter().take(32) {
-                let req = Request::Lookup { x: p.x, y: p.y };
-                assert_eq!(cached.dispatch(&req), uncached.dispatch(&req));
-            }
-        }
-        let Response::Stats { stats } = cached.dispatch(&Request::Stats) else {
-            panic!("stats must answer");
-        };
-        let cache = stats.cache.expect("cached service must report cache stats");
-        assert!(cache.hits >= 32, "{cache:?}");
-        assert_eq!(cache.hits + cache.misses, 64, "{cache:?}");
-        let Response::Stats { stats } = uncached.dispatch(&Request::Stats) else {
-            panic!("stats must answer");
-        };
-        assert!(stats.cache.is_none());
-        // The sharded service plane inherits the same cache spec.
-        let mut sharded = cached_serving
-            .service_over(&TopologySpec::local(2, 2))
-            .unwrap();
-        assert_eq!(sharded.cache_spec().unwrap().capacity, 256);
-        for p in d.locations().iter().take(8) {
-            let req = Request::Lookup { x: p.x, y: p.y };
-            assert_eq!(sharded.dispatch(&req), uncached.dispatch(&req));
-        }
-    }
-
-    /// The deprecated replica path and the canonical topology path must
-    /// answer every query identically — the migration contract.
-    #[test]
-    fn deprecated_sharded_service_matches_service_over() {
+    fn service_over_answers_like_the_single_service_and_shrinks_heap() {
         use fsi_proto::Request;
         let d = dataset();
         let serving = Pipeline::on(&d).height(3).run().unwrap().serve().unwrap();
-        #[allow(deprecated)]
-        let mut replicas = serving.service_sharded(2, 2).unwrap();
+        let mut single = serving.service();
         let mut partials = serving.service_over(&TopologySpec::local(2, 2)).unwrap();
         for p in d.locations().iter().take(64) {
             let req = Request::Lookup { x: p.x, y: p.y };
-            assert_eq!(replicas.dispatch(&req), partials.dispatch(&req));
+            assert_eq!(partials.dispatch(&req), single.dispatch(&req));
         }
         for rect in [
             fsi_proto::WireRect::new(0.0, 0.0, 1.0, 1.0),
             fsi_proto::WireRect::new(0.2, 0.2, 0.8, 0.4),
         ] {
             let req = Request::RangeQuery { rect };
-            assert_eq!(replicas.dispatch(&req), partials.dispatch(&req));
+            assert_eq!(partials.dispatch(&req), single.dispatch(&req));
         }
-        // The partial plane is the smaller one, per shard.
         let full_heap = serving.handle().load().heap_bytes();
         for backend in partials.topology().backends() {
             let local = backend.as_local().unwrap();
@@ -800,20 +701,6 @@ mod tests {
             other => panic!("expected error, got {other:?}"),
         }
         assert!(serving.service_shard(&spec, 4).is_err());
-    }
-
-    #[test]
-    fn invalid_cache_specs_fail_at_serve_time() {
-        let d = dataset();
-        let run = Pipeline::on(&d).height(3).run().unwrap();
-        let err = run
-            .serve_with_cache(CacheSpec::per_worker(0))
-            .err()
-            .expect("zero capacity must be rejected");
-        assert!(err.to_string().contains("cache"), "{err}");
-        let mut bad = CacheSpec::shared(64);
-        bad.shards = 3; // not a power of two
-        assert!(run.serve_with_cache(bad).is_err());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   (printed uniformly as `kind@addr`, with `-` for in-process
 //!   backends that have no address);
 //! * `metrics` — the telemetry snapshot ([`Request::Metrics`]):
-//!   per-kind request counts with latency quantiles, error totals,
-//!   cache counters and per-shard transport health;
+//!   per-kind request counts with latency quantiles, error totals and
+//!   per-shard transport health;
 //! * `health` — the fleet health picture ([`Request::Health`]): one
 //!   segment per shard with its state (`up`/`degraded`/`down`) and,
 //!   for replicated slots, each replica's circuit-breaker state;
@@ -155,17 +155,6 @@ pub fn format_response(response: &Response) -> String {
                 "stats: shards={} generations={:?} leaves={} heap_bytes={} backend={}",
                 stats.shards, stats.generations, stats.num_leaves, stats.heap_bytes, stats.backend
             );
-            if let Some(cache) = &stats.cache {
-                line.push_str(&format!(
-                    " cache: hits={} misses={} hit_rate={:.1}% evictions={} entries={}/{}",
-                    cache.hits,
-                    cache.misses,
-                    cache.hit_rate() * 100.0,
-                    cache.evictions,
-                    cache.entries,
-                    cache.capacity
-                ));
-            }
             if let Some(per_shard) = &stats.per_shard {
                 for (i, shard) in per_shard.iter().enumerate() {
                     line.push_str(&format!(
@@ -198,12 +187,6 @@ pub fn format_response(response: &Response) -> String {
             }
             for error in &metrics.errors {
                 line.push_str(&format!(" error[{}]={}", error.code, error.count));
-            }
-            if let Some(cache) = &metrics.cache {
-                line.push_str(&format!(
-                    " cache: hits={} misses={} evictions={}",
-                    cache.hits, cache.misses, cache.evictions
-                ));
             }
             if let Some(ingest) = &metrics.ingest {
                 line.push_str(&format!(
@@ -356,21 +339,7 @@ mod tests {
         assert!(a.starts_with("decisions:"), "{a}");
         let a = answer_line(&mut svc, "stats").unwrap();
         assert!(a.contains("shards=1"), "{a}");
-        // Uncached service: no cache segment on the stats line.
-        assert!(!a.contains("cache:"), "{a}");
         assert_eq!(answer_line(&mut svc, "   "), None);
-    }
-
-    #[test]
-    fn stats_line_reports_cache_counters_when_caching() {
-        let mut svc = service()
-            .with_cache(fsi_serve::CacheSpec::per_worker(64))
-            .unwrap();
-        answer_line(&mut svc, "0.1 0.1").unwrap();
-        answer_line(&mut svc, "0.1 0.1").unwrap();
-        let a = answer_line(&mut svc, "stats").unwrap();
-        assert!(a.contains("cache: hits=1 misses=1 hit_rate=50.0%"), "{a}");
-        assert!(a.contains("entries=1/64"), "{a}");
     }
 
     #[test]

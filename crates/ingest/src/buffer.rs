@@ -1,8 +1,7 @@
 //! The concurrent delta buffer behind `Request::Ingest`.
 //!
 //! Accepted points land in one of a fixed set of mutex-sharded bins
-//! selected by grid cell (the same contention shape as the decision
-//! cache's `ShardedLru`: one lock per write, never all of them), while
+//! selected by grid cell (one lock per write, never all of them), while
 //! each bin also maintains live per-cell count / label / group-count
 //! deltas on top of the frozen snapshot's `CellStats`. Occupancy and
 //! the rejected tally are plain atomics so the policy loop and the

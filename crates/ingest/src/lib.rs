@@ -8,8 +8,7 @@
 //!   points ([`IngestRecord`]s), maintaining live per-cell count /
 //!   label / group-count deltas ([`CellDelta`]) on top of the frozen
 //!   snapshot's statistics. One mutex shard per write, atomics for
-//!   occupancy — the same contention shape as the decision cache's
-//!   `ShardedLru`.
+//!   occupancy.
 //! * [`DriftDetector`] — scores how far the buffered deltas have pushed
 //!   any subtree's statistics past the frozen baseline, using the
 //!   `CellStats`/summed-area-table machinery (one O(grid) pass, then
@@ -24,10 +23,9 @@
 //!
 //! The serving layer (`fsi-serve`) wires these into `Request::Ingest` /
 //! `Request::IngestBatch` dispatch, owner-shard routing, and the
-//! existing two-phase `RebuildPrepare`/`RebuildCommit` barrier — the
-//! generation bump invalidates the decision cache implicitly, so
+//! existing two-phase `RebuildPrepare`/`RebuildCommit` barrier, so
 //! streaming writes compose with every layer above with zero new
-//! invalidation protocol.
+//! protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,7 +8,7 @@ use std::time::Duration;
 /// When a background maintenance pass should merge the delta buffer and
 /// drive the two-phase rebuild barrier. Serde-round-trippable so a
 /// deployment config can carry it; [`MaintenanceSpec::validate`] runs
-/// before a spec is accepted anywhere (same contract as `CacheSpec`).
+/// before a spec is accepted anywhere.
 ///
 /// Each trigger is independently disabled by setting it to zero; a
 /// valid spec enables at least one.

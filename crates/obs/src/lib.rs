@@ -13,8 +13,7 @@
 //! * [`Registry`] / [`Recorder`] — the per-worker placement pattern:
 //!   every worker clone records into its own shard (uncontended
 //!   atomics), and a scrape folds all shards into one
-//!   [`HistogramSnapshot`] / counter total. Mirrors the per-worker
-//!   decision-cache placement in `fsi-cache`.
+//!   [`HistogramSnapshot`] / counter total.
 //! * [`expo`] — a small Prometheus text-exposition writer
 //!   (`counter` / `gauge` / `summary` families) used by the
 //!   `GET /metrics` endpoint.

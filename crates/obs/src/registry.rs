@@ -1,7 +1,6 @@
 //! The per-worker shard registry behind every always-on recorder.
 //!
-//! Mirrors the `fsi-cache` per-worker placement: cloning a
-//! [`Recorder`] registers a fresh metrics shard built by the
+//! Cloning a [`Recorder`] registers a fresh metrics shard built by the
 //! registry's factory, each worker records into its own shard with
 //! uncontended atomics, and a scrape folds every shard (including
 //! those of workers that have since exited — counters are cumulative,

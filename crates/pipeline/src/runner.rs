@@ -1,12 +1,10 @@
 //! One-call execution of a `(dataset, task, method, height)` evaluation
 //! cell.
 //!
-//! The primary entry points are [`run_spec`] and [`run_multi_spec`],
-//! which execute a validated [`PipelineSpec`] / [`MultiObjectiveSpec`].
-//! The historical free functions [`run_method`] and
-//! [`run_multi_objective`] survive as deprecated shims over the spec
-//! path; new code should go through the `fsi` facade crate's `Pipeline`
-//! builder, which assembles specs fluently.
+//! The entry points are [`run_spec`] and [`run_multi_spec`], which
+//! execute a validated [`PipelineSpec`] / [`MultiObjectiveSpec`]; most
+//! code should go through the `fsi` facade crate's `Pipeline` builder,
+//! which assembles specs fluently.
 
 use crate::error::PipelineError;
 use crate::eval::EvalReport;
@@ -279,34 +277,6 @@ pub fn run_spec(dataset: &SpatialDataset, spec: &PipelineSpec) -> Result<MethodR
     })
 }
 
-/// Executes one evaluation cell from loose arguments.
-///
-/// Thin shim over [`run_spec`]; kept so historical call sites diff
-/// cleanly. New code should build a [`PipelineSpec`] — most conveniently
-/// through the `fsi` facade crate's `Pipeline` builder.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run_spec` or the `fsi::Pipeline` builder"
-)]
-pub fn run_method(
-    dataset: &SpatialDataset,
-    task: &TaskSpec,
-    method: Method,
-    height: usize,
-    config: &RunConfig,
-) -> Result<MethodRun, PipelineError> {
-    run_spec(
-        dataset,
-        &PipelineSpec {
-            task: task.clone(),
-            method,
-            height,
-            reweight_blocks: None,
-            config: config.clone(),
-        },
-    )
-}
-
 /// Result of a multi-objective run: one shared partition, one evaluation
 /// per task.
 #[derive(Debug, Clone)]
@@ -442,35 +412,6 @@ pub fn run_multi_spec(
         build_time,
         trainings,
     })
-}
-
-/// Executes a multi-objective cell from loose arguments.
-///
-/// Thin shim over [`run_multi_spec`]; kept so historical call sites diff
-/// cleanly. New code should build a [`MultiObjectiveSpec`] — most
-/// conveniently through the `fsi` facade crate's `MultiPipeline` builder.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run_multi_spec` or the `fsi::MultiPipeline` builder"
-)]
-pub fn run_multi_objective(
-    dataset: &SpatialDataset,
-    tasks: &[TaskSpec],
-    alphas: &[f64],
-    method: Method,
-    height: usize,
-    config: &RunConfig,
-) -> Result<MultiObjectiveRun, PipelineError> {
-    run_multi_spec(
-        dataset,
-        &MultiObjectiveSpec {
-            tasks: tasks.to_vec(),
-            alphas: alphas.to_vec(),
-            method,
-            height,
-            config: config.clone(),
-        },
-    )
 }
 
 #[cfg(test)]
@@ -678,22 +619,5 @@ mod tests {
         assert_eq!(a.scores, b.scores);
         assert_eq!(a.partition, b.partition);
         assert_eq!(a.eval.full.ence, b.eval.full.ence);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_spec_path() {
-        let d = small_dataset();
-        let config = RunConfig::default();
-        let via_shim = run_method(&d, &TaskSpec::act(), Method::FairKd, 3, &config).unwrap();
-        let via_spec = run_spec(&d, &cell(Method::FairKd, 3)).unwrap();
-        assert_eq!(via_shim.scores, via_spec.scores);
-        assert_eq!(via_shim.partition, via_spec.partition);
-
-        let tasks = [TaskSpec::act(), TaskSpec::employment()];
-        let mo_shim =
-            run_multi_objective(&d, &tasks, &[0.5, 0.5], Method::FairKd, 3, &config).unwrap();
-        let mo_spec = run_multi_spec(&d, &multi_cell(Method::FairKd, 3)).unwrap();
-        assert_eq!(mo_shim.partition, mo_spec.partition);
     }
 }

@@ -90,7 +90,7 @@ pub enum Request {
     /// partial prepare failure.
     RebuildAbort,
     /// One merged telemetry snapshot: request counts, latency
-    /// histograms, error tallies, cache and per-shard health. A
+    /// histograms, error tallies and per-shard health. A
     /// topology-aware coordinator scatter-gathers the snapshots of its
     /// remote shards into [`crate::ShardObsBody::remote`].
     Metrics,

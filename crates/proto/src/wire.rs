@@ -132,8 +132,10 @@ pub struct DecisionBody {
     pub calibrated_score: f64,
 }
 
-/// Decision-cache counters inside a [`StatsBody`], present only when
-/// the answering service runs with a cache configured.
+/// Decision-cache counters inside a [`StatsBody`]. Only peers from
+/// before the per-cell table replaced the decision cache send them;
+/// current services always leave the block out, and the type stays so
+/// those older envelopes still decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStatsBody {
     /// Lookups answered from the cache.
@@ -176,7 +178,8 @@ pub struct ShardStatsBody {
     pub num_leaves: usize,
     /// Approximate heap footprint of this shard's index, in bytes.
     pub heap_bytes: usize,
-    /// Compiled backend serving this shard (`"tree"` or `"cells"`).
+    /// Compiled backend serving this shard: `"cells"`, or `"tree"` from
+    /// older peers.
     pub backend: String,
     /// `Some(true)` when the scatter-gather that produced this entry
     /// could not reach the shard — the response degrades to a per-shard
@@ -201,11 +204,12 @@ pub struct StatsBody {
     pub num_leaves: usize,
     /// Approximate heap footprint of one live index snapshot, in bytes.
     pub heap_bytes: usize,
-    /// Compiled backend serving lookups (`"tree"` or `"cells"`).
+    /// Compiled backend serving lookups: `"cells"`, or `"tree"` from
+    /// older peers.
     pub backend: String,
-    /// Decision-cache counters, when the worker answering this request
-    /// has a cache configured. Optional so v1 envelopes encoded before
-    /// this field existed still decode.
+    /// Decision-cache counters from an older peer; always `None` from a
+    /// current service. Optional so v1 envelopes encoded before this
+    /// field existed still decode.
     pub cache: Option<CacheStatsBody>,
     /// Per-shard breakdown with backend kind and address, populated by
     /// topology-aware coordinators. Optional so v1 envelopes encoded
@@ -419,7 +423,8 @@ pub struct MetricsBody {
     pub slow_queries: u64,
     /// Highest snapshot generation observed at dispatch time.
     pub generation: u64,
-    /// Decision-cache counters, when a cache is configured.
+    /// Decision-cache counters from an older peer; always `None` from a
+    /// current service.
     pub cache: Option<CacheStatsBody>,
     /// Coordinator-side per-shard telemetry, in topology order.
     pub shards: Vec<ShardObsBody>,

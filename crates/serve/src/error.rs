@@ -26,13 +26,6 @@ pub enum ServeError {
         /// Number of leaves in the snapshot.
         snapshot: usize,
     },
-    /// An index would exceed the compiled leaf-id capacity.
-    TooManyLeaves {
-        /// Requested number of leaves.
-        leaves: usize,
-        /// Maximum representable number of leaves.
-        max: usize,
-    },
     /// A batch lookup hit a point outside the index bounds.
     PointOutOfBounds {
         /// Index of the offending point within the batch.
@@ -40,7 +33,7 @@ pub enum ServeError {
         /// The offending coordinates.
         point: (f64, f64),
     },
-    /// A shard router was asked for a degenerate shard grid.
+    /// A topology was asked for a degenerate shard grid.
     InvalidShards {
         /// Requested shard rows.
         rows: usize,
@@ -59,8 +52,6 @@ pub enum ServeError {
     },
     /// A rebuild commit arrived with no staged index to publish.
     NotStaged,
-    /// A decision-cache spec failed validation.
-    Cache(fsi_cache::CacheError),
     /// A streaming-ingestion component (delta buffer, drift detector,
     /// merge, maintenance policy) failed.
     Ingest(fsi_ingest::IngestError),
@@ -85,9 +76,6 @@ impl fmt::Display for ServeError {
                 f,
                 "model snapshot covers {snapshot} leaves but the index has {leaves}"
             ),
-            ServeError::TooManyLeaves { leaves, max } => {
-                write!(f, "index has {leaves} leaves; at most {max} are supported")
-            }
             ServeError::PointOutOfBounds { index, point } => write!(
                 f,
                 "point #{index} at ({}, {}) is outside the index bounds",
@@ -104,7 +92,6 @@ impl fmt::Display for ServeError {
             ServeError::NotStaged => {
                 write!(f, "rebuild commit received with no staged index")
             }
-            ServeError::Cache(e) => write!(f, "cache error: {e}"),
             ServeError::Ingest(e) => write!(f, "ingest error: {e}"),
             ServeError::IngestUnavailable => write!(
                 f,
@@ -122,7 +109,6 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServeError::Cache(e) => Some(e),
             ServeError::Ingest(e) => Some(e),
             ServeError::Pipeline(e) => Some(e),
             _ => None,
@@ -133,12 +119,6 @@ impl std::error::Error for ServeError {
 impl From<PipelineError> for ServeError {
     fn from(e: PipelineError) -> Self {
         ServeError::Pipeline(e)
-    }
-}
-
-impl From<fsi_cache::CacheError> for ServeError {
-    fn from(e: fsi_cache::CacheError) -> Self {
-        ServeError::Cache(e)
     }
 }
 
@@ -164,11 +144,6 @@ mod tests {
             point: (2.0, -1.0),
         };
         assert!(e.to_string().contains("#7"));
-        let e = ServeError::TooManyLeaves {
-            leaves: 70000,
-            max: 65535,
-        };
-        assert!(e.to_string().contains("70000"));
         let e = ServeError::InvalidTopology("shard 3: bad address".into());
         assert!(e.to_string().contains("shard 3"));
         let e = ServeError::Remote {

@@ -3,60 +3,31 @@
 //! [`FrozenIndex`] fuses three training-time artifacts into one flat
 //! structure sized for the read path:
 //!
-//! * the spatial structure — either a [`KdTree`] flattened into a
-//!   breadth-first arena of 24-byte nodes traversed branchlessly, or an
-//!   arbitrary [`Partition`] compiled into a per-cell leaf table;
+//! * the served partition as a per-cell leaf table — one `u32` leaf
+//!   slot per grid cell, row-major. This is Algorithm 1's complete,
+//!   non-overlapping cell → neighborhood map stored as is, whether it
+//!   came from a [`KdTree`] ([`FrozenIndex::compile`]) or any other
+//!   [`Partition`] ([`FrozenIndex::from_partition`]);
 //! * the grid geometry, so queries are *continuous* [`Point`]s rather
 //!   than grid coordinates;
 //! * a [`ModelSnapshot`] of per-leaf raw scores and calibration offsets,
 //!   with calibrated scores precomputed at compile time.
 //!
-//! A lookup is two subtractions, two divisions and (for the tree backend)
-//! one comparison per tree level; the per-level child select is a
-//! branch-free index into a two-element array, so the only unpredictable
-//! branch in the whole traversal is the loop exit. Cell-to-leaf parity
-//! with [`Grid::locate`] + [`KdTree::locate`] is exact, not approximate:
-//! the fractional cell coordinates are computed with the same operations
-//! `Grid::locate` uses, and comparing them against integer cut boundaries
-//! is equivalent to comparing the floored cell indices.
+//! A lookup is two subtractions, two divisions (or exact reciprocal
+//! multiplies), a floor-and-clamp and one table load. Cell assignment is
+//! bit-identical to [`Grid::locate`], not approximate: the fractional
+//! cell coordinates are computed with the same operations
+//! `Grid::cell_of` uses and floored and clamped the same way, so every
+//! answer equals [`Grid::locate`] + [`KdTree::locate`].
+//!
+//! The table costs `4·rows·cols` bytes (a partial index stores only its
+//! block). A flattened tree would cost 24 bytes per internal node, so the
+//! table is the smaller of the two whenever `rows·cols < 6·(leaves − 1)`.
 
 use crate::error::ServeError;
 use fsi_core::KdTree;
-use fsi_geo::{Axis, CellRect, Grid, Partition, Point, Rect};
-use fsi_pipeline::ModelSnapshot;
-
-/// Child/root reference: high bit set ⇒ leaf (low bits = leaf id),
-/// otherwise an index into the flat internal-node arena.
-const LEAF_BIT: u32 = 1 << 31;
-
-/// One flattened internal node (24 bytes).
-#[derive(Debug, Clone, Copy)]
-struct FlatNode {
-    /// Cut boundary in fractional cell units along `axis`.
-    split: f64,
-    /// Coordinate compared: `0` ⇒ fractional column (x), `1` ⇒ fractional
-    /// row (y).
-    axis: u32,
-    /// `[low, high]` child references (`LEAF_BIT` encoding).
-    children: [u32; 2],
-}
-
-/// Flattened KD-tree: internal nodes in breadth-first order, so the top
-/// of the tree — visited by every lookup — occupies one cache line run.
-#[derive(Debug, Clone)]
-struct FlatTree {
-    nodes: Vec<FlatNode>,
-    root: u32,
-}
-
-/// The spatial backend of a frozen index.
-#[derive(Debug, Clone)]
-enum Backend {
-    /// Branchless flattened KD-tree (compiled from a [`KdTree`]).
-    Tree(FlatTree),
-    /// Per-cell leaf table (compiled from an arbitrary [`Partition`]).
-    Cells(Vec<u32>),
-}
+use fsi_geo::{CellRect, Grid, Partition, Point, Rect};
+use fsi_pipeline::{ModelSnapshot, PipelineError};
 
 /// Restriction of a partial index to a sub-block of the global grid.
 ///
@@ -69,8 +40,6 @@ enum Backend {
 /// out is indistinguishable from the single-box answer.
 #[derive(Debug, Clone)]
 struct Clip {
-    /// The block of global grid cells this partial index owns.
-    cells: CellRect,
     /// Continuous extent of the block (what [`FrozenIndex::bounds`]
     /// reports for a clipped index).
     rect: Rect,
@@ -103,12 +72,16 @@ pub struct Decision {
 /// [`crate::IndexHandle`].
 #[derive(Debug, Clone)]
 pub struct FrozenIndex {
-    backend: Backend,
+    /// Leaf slot of every cell of `block`, row-major.
+    cells: Vec<u32>,
+    /// The block of global grid cells this index serves: the whole grid
+    /// for a full index, the clipped block for a partial one.
+    block: CellRect,
     /// The grid geometry — the single authority on point → cell
     /// semantics (cold paths delegate to [`Grid::cell_of`]).
     grid: Grid,
     /// Cached `grid.cell_width()` / `grid.cell_height()`, so the hot
-    /// path pays no divisions beyond the two in `fractional`.
+    /// path pays no divisions beyond the two in `slot`.
     cell_w: f64,
     cell_h: f64,
     /// Exact reciprocals of `cell_w` / `cell_h` when both are binary
@@ -132,7 +105,8 @@ pub struct FrozenIndex {
 
 impl FrozenIndex {
     /// Compiles a KD-tree, its grid geometry and a model snapshot into a
-    /// frozen index with the branchless flattened-tree backend.
+    /// frozen index. The table is built from [`KdTree::partition`], so
+    /// every leaf id equals [`KdTree::locate`] of the point's cell.
     pub fn compile(
         tree: &KdTree,
         grid: &Grid,
@@ -144,12 +118,12 @@ impl FrozenIndex {
                 got: (grid.rows(), grid.cols()),
             });
         }
-        let flat = flatten(tree);
-        Self::with_backend(Backend::Tree(flat), grid, tree.num_leaves(), snapshot)
+        let partition = tree.partition(grid).map_err(PipelineError::from)?;
+        Self::from_partition(&partition, grid, snapshot)
     }
 
     /// Compiles an arbitrary partition (KD-leaf, Voronoi, uniform, …)
-    /// into a frozen index with the per-cell leaf-table backend.
+    /// into a frozen index.
     pub fn from_partition(
         partition: &Partition,
         grid: &Grid,
@@ -161,27 +135,7 @@ impl FrozenIndex {
                 got: (grid.rows(), grid.cols()),
             });
         }
-        let cells = partition.assignments().to_vec();
-        Self::with_backend(
-            Backend::Cells(cells),
-            grid,
-            partition.num_regions(),
-            snapshot,
-        )
-    }
-
-    fn with_backend(
-        backend: Backend,
-        grid: &Grid,
-        num_leaves: usize,
-        snapshot: &ModelSnapshot,
-    ) -> Result<Self, ServeError> {
-        if num_leaves >= LEAF_BIT as usize {
-            return Err(ServeError::TooManyLeaves {
-                leaves: num_leaves,
-                max: LEAF_BIT as usize - 1,
-            });
-        }
+        let num_leaves = partition.num_regions();
         if snapshot.num_leaves() != num_leaves {
             return Err(ServeError::SnapshotMismatch {
                 leaves: num_leaves,
@@ -201,7 +155,8 @@ impl FrozenIndex {
         };
         let inv_wh = exact_recip(cell_w).zip(exact_recip(cell_h));
         Ok(Self {
-            backend,
+            cells: partition.assignments().to_vec(),
+            block: CellRect::new(0, grid.rows(), 0, grid.cols()),
             grid: grid.clone(),
             cell_w,
             cell_h,
@@ -219,14 +174,14 @@ impl FrozenIndex {
     /// [`FrozenIndex::range_query`]).
     ///
     /// The partial index keeps the global grid geometry, so every answer
-    /// it gives — leaf ids, groups, scores, cache cell indices — is
-    /// bit-identical to the full index; points whose cell falls outside
-    /// the block are simply rejected (`lookup` returns `None`, batches
-    /// report [`ServeError::PointOutOfBounds`]). What shrinks is the
-    /// working set: the tree/cell backend is pruned to the block and
-    /// leaf storage is compacted to the leaves intersecting it, so
-    /// per-shard [`FrozenIndex::heap_bytes`] scales *down* with shard
-    /// count instead of replicating.
+    /// it gives — leaf ids, groups, scores — is bit-identical to the full
+    /// index; points whose cell falls outside the block are simply
+    /// rejected (`lookup` returns `None`, batches report
+    /// [`ServeError::PointOutOfBounds`]). What shrinks is the working
+    /// set: the table is cut to the block and leaf storage is compacted
+    /// to the leaves intersecting it, so per-shard
+    /// [`FrozenIndex::heap_bytes`] scales *down* with shard count instead
+    /// of replicating.
     ///
     /// Clipping an already clipped index is rejected.
     pub fn compile_clipped(&self, rect: &Rect) -> Result<FrozenIndex, ServeError> {
@@ -235,22 +190,21 @@ impl FrozenIndex {
                 "cannot clip an already clipped index".into(),
             ));
         }
-        let cells = self.covered_cells(rect).ok_or_else(|| {
+        let block = self.covered_cells(rect).ok_or_else(|| {
             ServeError::InvalidTopology(format!(
                 "clip rectangle ({}, {})..({}, {}) misses the map",
                 rect.min_x, rect.min_y, rect.max_x, rect.max_y
             ))
         })?;
+        let cols = self.grid.cols();
+        let global =
+            |row: usize| &self.cells[row * cols + block.col_start..row * cols + block.col_end];
         // Which global leaves own at least one block cell? Local slots
         // follow ascending global id, so remapped query results sort
         // identically to the unclipped index.
         let mut present = vec![false; self.num_leaves()];
-        for row in cells.row_start..cells.row_end {
-            for col in cells.col_start..cells.col_end {
-                let g = match &self.backend {
-                    Backend::Tree(_) => self.leaf_of(col as f64, row as f64),
-                    Backend::Cells(map) => map[row * self.grid.cols() + col],
-                };
+        for row in block.row_start..block.row_end {
+            for &g in global(row) {
                 present[g as usize] = true;
             }
         }
@@ -261,30 +215,21 @@ impl FrozenIndex {
         for (slot, &g) in leaf_ids.iter().enumerate() {
             slot_of[g as usize] = slot as u32;
         }
-        let backend = match &self.backend {
-            Backend::Tree(ft) => Backend::Tree(clip_tree(ft, &cells, &slot_of)),
-            Backend::Cells(map) => {
-                let block_cols = cells.col_end - cells.col_start;
-                let mut local = Vec::with_capacity((cells.row_end - cells.row_start) * block_cols);
-                for row in cells.row_start..cells.row_end {
-                    for col in cells.col_start..cells.col_end {
-                        local.push(slot_of[map[row * self.grid.cols() + col] as usize]);
-                    }
-                }
-                Backend::Cells(local)
-            }
-        };
+        let cells = (block.row_start..block.row_end)
+            .flat_map(|row| global(row).iter().map(|&g| slot_of[g as usize]))
+            .collect();
         let b = self.grid.bounds();
         let rect = Rect::new(
-            b.min_x + cells.col_start as f64 * self.cell_w,
-            b.min_y + cells.row_start as f64 * self.cell_h,
-            (b.min_x + cells.col_end as f64 * self.cell_w).min(b.max_x),
-            (b.min_y + cells.row_end as f64 * self.cell_h).min(b.max_y),
+            b.min_x + block.col_start as f64 * self.cell_w,
+            b.min_y + block.row_start as f64 * self.cell_h,
+            (b.min_x + block.col_end as f64 * self.cell_w).min(b.max_x),
+            (b.min_y + block.row_end as f64 * self.cell_h).min(b.max_y),
         )
         .map_err(|e| ServeError::InvalidTopology(format!("degenerate clip block: {e}")))?;
         let pick = |xs: &[f64]| leaf_ids.iter().map(|&g| xs[g as usize]).collect();
         Ok(FrozenIndex {
-            backend,
+            cells,
+            block,
             grid: self.grid.clone(),
             cell_w: self.cell_w,
             cell_h: self.cell_h,
@@ -293,87 +238,49 @@ impl FrozenIndex {
             offset: pick(&self.offset),
             calibrated: pick(&self.calibrated),
             group: leaf_ids.iter().map(|&g| self.group[g as usize]).collect(),
-            clip: Some(Clip {
-                cells,
-                rect,
-                leaf_ids,
-            }),
+            clip: Some(Clip { rect, leaf_ids }),
         })
     }
 
-    /// Fractional cell coordinates of a point, or `None` when the point
-    /// is non-finite or outside the closed map bounds. Uses the exact
-    /// arithmetic of [`Grid::locate`] so cell assignment is bit-identical
-    /// (the reciprocal-multiply branch fires only when proven exact; see
-    /// `inv_wh`).
+    /// Leaf slot of a point, or `None` when the point is non-finite,
+    /// outside the closed map bounds, or in a cell outside this index's
+    /// block.
+    ///
+    /// The fractional cell coordinates use the exact arithmetic of
+    /// [`Grid::cell_of`] (the reciprocal-multiply branch fires only when
+    /// proven exact; see `inv_wh`), followed by the same floor-and-clamp,
+    /// so cell assignment is bit-identical. A partial index accepts
+    /// exactly the cells of its block, so a point on an interior block
+    /// edge is rejected here and served by the neighbor owning the next
+    /// cell — the same closed-boundary semantics as `Grid::cell_of` on a
+    /// single box.
     #[inline]
-    fn fractional(&self, p: &Point) -> Option<(f64, f64)> {
+    fn slot(&self, p: &Point) -> Option<u32> {
         let b = self.grid.bounds();
         if !p.is_finite() || !b.contains(p) {
             return None;
         }
         let (dx, dy) = (p.x - b.min_x, p.y - b.min_y);
-        Some(match self.inv_wh {
+        let (fx, fy) = match self.inv_wh {
             Some((inv_w, inv_h)) => (dx * inv_w, dy * inv_h),
             None => (dx / self.cell_w, dy / self.cell_h),
-        })
-    }
-
-    /// Leaf id of a point given its fractional cell coordinates.
-    ///
-    /// Tree backend: comparing the fractional coordinate against an
-    /// integer boundary `b` is equivalent to comparing the floored cell
-    /// index (`fy ≥ b ⇔ ⌊fy⌋ ≥ b` for integral `b`), and the max-edge
-    /// clamp of `Grid::locate` only affects `fy = rows`, which every cut
-    /// (`b ≤ rows − 1`) already sends high — so the traversal agrees with
-    /// `Grid::locate` + `KdTree::locate` exactly.
-    #[inline]
-    fn leaf_of(&self, fx: f64, fy: f64) -> u32 {
-        match &self.backend {
-            Backend::Tree(ft) => {
-                let coords = [fx, fy];
-                let mut cur = ft.root;
-                while cur & LEAF_BIT == 0 {
-                    let n = &ft.nodes[cur as usize];
-                    let hi = usize::from(coords[n.axis as usize] >= n.split);
-                    cur = n.children[hi];
-                }
-                cur & !LEAF_BIT
-            }
-            Backend::Cells(map) => {
-                // Same floor-and-clamp as `Grid::cell_of`, on the
-                // already-computed fractional coordinates.
-                let col = (fx as usize).min(self.grid.cols() - 1);
-                let row = (fy as usize).min(self.grid.rows() - 1);
-                self.cell_slot(map, row, col)
-            }
-        }
-    }
-
-    /// Whether this index serves the grid cell the fractional
-    /// coordinates floor into. Always true for a full index; a partial
-    /// index accepts exactly the cells of its block, so a point on an
-    /// interior block edge is rejected here and served by the neighbor
-    /// owning the next cell — the same closed-boundary semantics as
-    /// `Grid::cell_of` on a single box.
-    #[inline]
-    fn accepts(&self, fx: f64, fy: f64) -> bool {
-        match &self.clip {
-            None => true,
-            Some(c) => {
-                let col = (fx as usize).min(self.grid.cols() - 1);
-                let row = (fy as usize).min(self.grid.rows() - 1);
-                row >= c.cells.row_start
-                    && row < c.cells.row_end
-                    && col >= c.cells.col_start
-                    && col < c.cells.col_end
-            }
-        }
+        };
+        let col = (fx as usize).min(self.grid.cols() - 1);
+        let row = (fy as usize).min(self.grid.rows() - 1);
+        // Unsigned wrap-around folds the lower block bound into the upper
+        // one: a cell before the block's first row or column wraps to a
+        // huge offset.
+        let (r, c) = (
+            row.wrapping_sub(self.block.row_start),
+            col.wrapping_sub(self.block.col_start),
+        );
+        let width = self.block.num_cols();
+        (r < self.block.num_rows() && c < width).then(|| self.cells[r * width + c])
     }
 
     #[inline]
-    fn decision(&self, leaf: u32) -> Decision {
-        let l = leaf as usize;
+    fn decision(&self, slot: u32) -> Decision {
+        let l = slot as usize;
         Decision {
             leaf_id: match &self.clip {
                 None => l,
@@ -390,64 +297,7 @@ impl FrozenIndex {
     /// partial index) outside the clipped block.
     #[inline]
     pub fn lookup(&self, p: &Point) -> Option<Decision> {
-        let (fx, fy) = self.fractional(p)?;
-        if !self.accepts(fx, fy) {
-            return None;
-        }
-        Some(self.decision(self.leaf_of(fx, fy)))
-    }
-
-    /// Row-major grid cell index of a point — the spatial half of a
-    /// decision-cache key. `None` under exactly the conditions
-    /// [`FrozenIndex::lookup`] returns `None`, and the floor-and-clamp
-    /// is the same as `Grid::cell_of`, so
-    /// `lookup_cell(cell_index(p)?) == lookup(p)` for every point: one
-    /// cached decision per cell can never disagree with the uncached
-    /// answer, boundary points included.
-    ///
-    /// Cell indices stay **global** on a partial index (a clipped shard
-    /// rejects out-of-block points instead of renumbering cells), so a
-    /// decision cache keyed by them is consistent across every topology.
-    #[inline]
-    pub fn cell_index(&self, p: &Point) -> Option<u64> {
-        let (fx, fy) = self.fractional(p)?;
-        if !self.accepts(fx, fy) {
-            return None;
-        }
-        let col = (fx as usize).min(self.grid.cols() - 1);
-        let row = (fy as usize).min(self.grid.rows() - 1);
-        Some((row * self.grid.cols() + col) as u64)
-    }
-
-    /// The decision every point of a (row-major) grid cell maps to, or
-    /// `None` for a cell index outside the grid. For the tree backend
-    /// this re-enters the traversal at the cell's integer coordinates,
-    /// which agrees with any fractional point in the cell because every
-    /// cut boundary is integral (`fx ≥ b ⇔ ⌊fx⌋ ≥ b`).
-    #[inline]
-    pub fn lookup_cell(&self, cell: u64) -> Option<Decision> {
-        let cols = self.grid.cols();
-        let cell = cell as usize;
-        if cell >= self.grid.rows() * cols {
-            return None;
-        }
-        let (row, col) = (cell / cols, cell % cols);
-        if let Some(c) = &self.clip {
-            // Cell ids are global; a partial index only answers for the
-            // cells of its block.
-            if row < c.cells.row_start
-                || row >= c.cells.row_end
-                || col < c.cells.col_start
-                || col >= c.cells.col_end
-            {
-                return None;
-            }
-        }
-        let leaf = match &self.backend {
-            Backend::Tree(_) => self.leaf_of(col as f64, row as f64),
-            Backend::Cells(map) => self.cell_slot(map, row, col),
-        };
-        Some(self.decision(leaf))
+        self.slot(p).map(|slot| self.decision(slot))
     }
 
     /// Batch lookup: slice in, decisions out. Clears and refills `out`,
@@ -463,15 +313,14 @@ impl FrozenIndex {
         out.clear();
         out.reserve(points.len());
         for (index, p) in points.iter().enumerate() {
-            let fract = self.fractional(p).filter(|&(fx, fy)| self.accepts(fx, fy));
-            let Some((fx, fy)) = fract else {
+            let Some(slot) = self.slot(p) else {
                 out.clear();
                 return Err(ServeError::PointOutOfBounds {
                     index,
                     point: (p.x, p.y),
                 });
             };
-            out.push(self.decision(self.leaf_of(fx, fy)));
+            out.push(self.decision(slot));
         }
         Ok(())
     }
@@ -481,83 +330,39 @@ impl FrozenIndex {
     /// [`KdTree::range_query`] over the covered cell block; a query
     /// entirely outside the map returns an empty vector.
     pub fn range_query(&self, query: &Rect) -> Vec<usize> {
-        let Some(mut cells) = self.covered_cells(query) else {
+        let Some(cells) = self.covered_cells(query) else {
             return Vec::new();
         };
+        // A partial index answers for the intersection of the query
+        // block with its own block; the coordinator unions the per-shard
+        // results back into the single-box answer.
+        let b = &self.block;
+        let rows = cells.row_start.max(b.row_start)..cells.row_end.min(b.row_end);
+        let cols = cells.col_start.max(b.col_start)..cells.col_end.min(b.col_end);
+        if rows.is_empty() || cols.is_empty() {
+            return Vec::new();
+        }
+        let mut seen = vec![false; self.num_leaves()];
+        let mut ids = Vec::new();
+        for row in rows {
+            let start = (row - b.row_start) * b.num_cols() + (cols.start - b.col_start);
+            for &slot in &self.cells[start..start + cols.len()] {
+                let slot = slot as usize;
+                if !seen[slot] {
+                    seen[slot] = true;
+                    ids.push(slot);
+                }
+            }
+        }
+        // Local slots ascend with global leaf ids, so sorting the slots
+        // sorts the remapped list too.
+        ids.sort_unstable();
         if let Some(c) = &self.clip {
-            // A partial index answers for the intersection of the query
-            // block with its own block; the coordinator unions the
-            // per-shard results back into the single-box answer.
-            cells = CellRect::new(
-                cells.row_start.max(c.cells.row_start),
-                cells.row_end.min(c.cells.row_end),
-                cells.col_start.max(c.cells.col_start),
-                cells.col_end.min(c.cells.col_end),
-            );
-            if cells.row_start >= cells.row_end || cells.col_start >= cells.col_end {
-                return Vec::new();
+            for id in &mut ids {
+                *id = c.leaf_ids[*id] as usize;
             }
         }
-        let local = match &self.backend {
-            Backend::Tree(ft) => {
-                let mut out = Vec::new();
-                let mut stack = vec![ft.root];
-                while let Some(r) = stack.pop() {
-                    if r & LEAF_BIT != 0 {
-                        out.push((r & !LEAF_BIT) as usize);
-                        continue;
-                    }
-                    let n = &ft.nodes[r as usize];
-                    let (lo, hi) = if n.axis == 0 {
-                        (cells.col_start, cells.col_end)
-                    } else {
-                        (cells.row_start, cells.row_end)
-                    };
-                    let s = n.split as usize;
-                    if lo < s {
-                        stack.push(n.children[0]);
-                    }
-                    if hi > s {
-                        stack.push(n.children[1]);
-                    }
-                }
-                out.sort_unstable();
-                out
-            }
-            Backend::Cells(map) => {
-                let mut seen = vec![false; self.num_leaves()];
-                for row in cells.row_start..cells.row_end {
-                    for col in cells.col_start..cells.col_end {
-                        seen[self.cell_slot(map, row, col) as usize] = true;
-                    }
-                }
-                (0..self.num_leaves())
-                    .filter(|&l| seen[l])
-                    .collect::<Vec<_>>()
-            }
-        };
-        match &self.clip {
-            // Local slots ascend with global leaf ids, so the remapped
-            // list is already sorted.
-            None => local,
-            Some(c) => local
-                .into_iter()
-                .map(|slot| c.leaf_ids[slot] as usize)
-                .collect(),
-        }
-    }
-
-    /// Leaf slot stored for a global `(row, col)` cell in a cell-table
-    /// backend, translating into the block-local table when clipped.
-    #[inline]
-    fn cell_slot(&self, map: &[u32], row: usize, col: usize) -> u32 {
-        match &self.clip {
-            None => map[row * self.grid.cols() + col],
-            Some(c) => {
-                let block_cols = c.cells.col_end - c.cells.col_start;
-                map[(row - c.cells.row_start) * block_cols + (col - c.cells.col_start)]
-            }
-        }
+        ids
     }
 
     /// The block of cells the closed `query` rectangle touches under
@@ -617,12 +422,10 @@ impl FrozenIndex {
         self.clip.as_ref().map(|c| &c.rect)
     }
 
-    /// `"tree"` or `"cells"`: which compiled backend answers lookups.
+    /// The compiled backend's wire name, reported in `Stats`: always
+    /// `"cells"`, the per-cell leaf table.
     pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            Backend::Tree(_) => "tree",
-            Backend::Cells(_) => "cells",
-        }
+        "cells"
     }
 
     /// Per-leaf calibration offsets (introspection / diagnostics).
@@ -633,191 +436,14 @@ impl FrozenIndex {
 
     /// Approximate heap footprint in bytes — the whole read working set.
     pub fn heap_bytes(&self) -> usize {
-        let backend = match &self.backend {
-            Backend::Tree(ft) => ft.nodes.len() * std::mem::size_of::<FlatNode>(),
-            Backend::Cells(map) => map.len() * std::mem::size_of::<u32>(),
-        };
-        backend
+        (self.cells.len() + self.group.len()) * std::mem::size_of::<u32>()
             + (self.raw.len() + self.offset.len() + self.calibrated.len())
                 * std::mem::size_of::<f64>()
-            + self.group.len() * std::mem::size_of::<u32>()
             + self
                 .clip
                 .as_ref()
                 .map_or(0, |c| c.leaf_ids.len() * std::mem::size_of::<u32>())
     }
-}
-
-/// Prunes a flat tree to the sub-block `cells`, remapping leaves to
-/// local slots via `slot_of`.
-///
-/// Chains of internal nodes whose cut falls outside the block's
-/// row/column range resolve to their only reachable child (contracting
-/// the chain), so traversal depth also shrinks with the block. Ranges
-/// are half-open and non-empty throughout: for a node with cut `s` and
-/// range `lo..hi`, `lo ≥ s` implies `hi > s`, so at least one child is
-/// always reachable.
-fn clip_tree(ft: &FlatTree, cells: &CellRect, slot_of: &[u32]) -> FlatTree {
-    // Resolve a child reference under the row/col ranges it can receive:
-    // skip internal nodes the block never crosses, narrowing the range.
-    fn resolve(
-        nodes: &[FlatNode],
-        mut r: u32,
-        mut rows: (usize, usize),
-        mut cols: (usize, usize),
-    ) -> (u32, (usize, usize), (usize, usize)) {
-        while r & LEAF_BIT == 0 {
-            let n = &nodes[r as usize];
-            let s = n.split as usize;
-            let (lo, hi) = if n.axis == 0 { cols } else { rows };
-            let (low, high) = (lo < s, hi > s);
-            if low && high {
-                break;
-            }
-            let (child, narrowed) = if low {
-                (n.children[0], (lo, hi.min(s)))
-            } else {
-                (n.children[1], (lo.max(s), hi))
-            };
-            if n.axis == 0 {
-                cols = narrowed;
-            } else {
-                rows = narrowed;
-            }
-            r = child;
-        }
-        (r, rows, cols)
-    }
-
-    let remap_leaf = |r: u32| LEAF_BIT | slot_of[(r & !LEAF_BIT) as usize];
-    let rows0 = (cells.row_start, cells.row_end);
-    let cols0 = (cells.col_start, cells.col_end);
-    let (root, root_rows, root_cols) = resolve(&ft.nodes, ft.root, rows0, cols0);
-    if root & LEAF_BIT != 0 {
-        return FlatTree {
-            nodes: Vec::new(),
-            root: remap_leaf(root),
-        };
-    }
-
-    // Pass 1: breadth-first order over kept internal nodes, tracking the
-    // (narrowed) range each one is reached with.
-    // A kept node plus the (row, col) index ranges it is reached with.
-    type RangedNode = (u32, (usize, usize), (usize, usize));
-    let mut new_of = vec![u32::MAX; ft.nodes.len()];
-    let mut order: Vec<RangedNode> = Vec::new();
-    let mut queue = std::collections::VecDeque::from([(root, root_rows, root_cols)]);
-    while let Some((i, rows, cols)) = queue.pop_front() {
-        new_of[i as usize] = order.len() as u32;
-        order.push((i, rows, cols));
-        let n = &ft.nodes[i as usize];
-        let s = n.split as usize;
-        let (lo, hi) = if n.axis == 0 { cols } else { rows };
-        for (child, sub) in [(n.children[0], (lo, s)), (n.children[1], (s, hi))] {
-            let (crows, ccols) = if n.axis == 0 {
-                (rows, sub)
-            } else {
-                (sub, cols)
-            };
-            let (c, crows, ccols) = resolve(&ft.nodes, child, crows, ccols);
-            if c & LEAF_BIT == 0 {
-                queue.push_back((c, crows, ccols));
-            }
-        }
-    }
-
-    // Pass 2: emit nodes with resolved, remapped child references.
-    let mut nodes = Vec::with_capacity(order.len());
-    for &(i, rows, cols) in &order {
-        let n = &ft.nodes[i as usize];
-        let s = n.split as usize;
-        let (lo, hi) = if n.axis == 0 { cols } else { rows };
-        let mut children = [0u32; 2];
-        for (k, sub) in [(0usize, (lo, s)), (1, (s, hi))] {
-            let (crows, ccols) = if n.axis == 0 {
-                (rows, sub)
-            } else {
-                (sub, cols)
-            };
-            let (c, _, _) = resolve(&ft.nodes, n.children[k], crows, ccols);
-            children[k] = if c & LEAF_BIT != 0 {
-                remap_leaf(c)
-            } else {
-                new_of[c as usize]
-            };
-        }
-        nodes.push(FlatNode {
-            split: n.split,
-            axis: n.axis,
-            children,
-        });
-    }
-    FlatTree { nodes, root: 0 }
-}
-
-/// Flattens a [`KdTree`] arena into breadth-first [`FlatNode`]s.
-///
-/// Leaf ids are OR-ed with [`LEAF_BIT`], so callers must enforce the
-/// leaf-count cap; `with_backend` does, and discards this result when it
-/// fails, so an oversized tree never reaches a served index.
-fn flatten(tree: &KdTree) -> FlatTree {
-    let arena = tree.nodes();
-    let leaf_or = |idx: u32, flat_of: &[u32]| -> u32 {
-        match arena[idx as usize].split_boundary() {
-            None => match arena[idx as usize].kind {
-                fsi_core::tree::NodeKind::Leaf { region_id } => LEAF_BIT | region_id as u32,
-                _ => unreachable!("split_boundary is None only for leaves"),
-            },
-            Some(_) => flat_of[idx as usize],
-        }
-    };
-
-    // Pass 1: breadth-first order over internal nodes.
-    let mut flat_of = vec![u32::MAX; arena.len()];
-    let mut order = Vec::new();
-    let root = KdTree::ROOT;
-    if arena.is_empty() || arena[root as usize].split_boundary().is_none() {
-        // Single-leaf tree (or the degenerate empty arena): the root
-        // reference itself is a leaf.
-        return FlatTree {
-            nodes: Vec::new(),
-            root: LEAF_BIT,
-        };
-    }
-    let mut queue = std::collections::VecDeque::from([root]);
-    while let Some(i) = queue.pop_front() {
-        flat_of[i as usize] = order.len() as u32;
-        order.push(i);
-        if let fsi_core::tree::NodeKind::Internal { low, high, .. } = arena[i as usize].kind {
-            for c in [low, high] {
-                if arena[c as usize].split_boundary().is_some() {
-                    queue.push_back(c);
-                }
-            }
-        }
-    }
-
-    // Pass 2: emit nodes with resolved child references.
-    let mut nodes = Vec::with_capacity(order.len());
-    for &i in &order {
-        let node = &arena[i as usize];
-        let (axis, boundary) = node
-            .split_boundary()
-            .expect("pass 1 only enqueues internal nodes");
-        let axis_code = match axis {
-            Axis::Col => 0, // vertical cut: compare the x (column) coordinate
-            Axis::Row => 1, // horizontal cut: compare the y (row) coordinate
-        };
-        let fsi_core::tree::NodeKind::Internal { low, high, .. } = node.kind else {
-            unreachable!("pass 1 only enqueues internal nodes");
-        };
-        nodes.push(FlatNode {
-            split: boundary as f64,
-            axis: axis_code,
-            children: [leaf_or(low, &flat_of), leaf_or(high, &flat_of)],
-        });
-    }
-    FlatTree { nodes, root: 0 }
 }
 
 #[cfg(test)]
@@ -845,20 +471,61 @@ mod tests {
         .unwrap()
     }
 
+    /// A height-5 median tree over skewed counts on a 16×16 grid, so
+    /// leaves differ in size and cuts fall off the halving lines.
+    fn skewed_tree(grid: &Grid) -> KdTree {
+        let counts: Vec<f64> = (0..grid.len())
+            .map(|c| {
+                let (row, col) = grid.row_col(c);
+                1.0 + (row * col % 7) as f64 + if row < 4 { 9.0 } else { 0.0 }
+            })
+            .collect();
+        let zeros = vec![0.0; grid.len()];
+        let stats = CellStats::new(grid, &counts, &zeros, &zeros).unwrap();
+        build_kd_tree(
+            &stats,
+            &fsi_core::MedianSplit,
+            &BuildConfig {
+                height: 5,
+                ..BuildConfig::default()
+            },
+        )
+        .unwrap()
+    }
+
+    /// A map rectangle strictly inside a cell block that reaches into
+    /// every cell of it, so it covers exactly that block.
+    fn block_rect(grid: &Grid, block: &CellRect) -> Rect {
+        let b = grid.bounds();
+        let (w, h) = (grid.cell_width(), grid.cell_height());
+        Rect::new(
+            b.min_x + (block.col_start as f64 + 0.25) * w,
+            b.min_y + (block.row_start as f64 + 0.25) * h,
+            b.min_x + (block.col_end as f64 - 0.25) * w,
+            b.min_y + (block.row_end as f64 - 0.25) * h,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn tree_backend_matches_locate_on_every_cell_centroid() {
-        let grid = grid8();
-        let tree = median_tree(&grid);
-        let snapshot = ModelSnapshot::uniform(tree.num_leaves(), 0.5).unwrap();
-        let idx = FrozenIndex::compile(&tree, &grid, &snapshot).unwrap();
-        assert_eq!(idx.backend_name(), "tree");
-        for cell in grid.cells() {
-            let c = grid.centroid(cell).unwrap();
-            let (row, col) = grid.cell_of(&c).unwrap();
-            assert_eq!(
-                idx.lookup(&c).unwrap().leaf_id,
-                tree.locate(row, col).unwrap()
-            );
+        for grid in [grid8(), Grid::unit(16).unwrap()] {
+            let tree = if grid.rows() == 8 {
+                median_tree(&grid)
+            } else {
+                skewed_tree(&grid)
+            };
+            let snapshot = ModelSnapshot::uniform(tree.num_leaves(), 0.5).unwrap();
+            let idx = FrozenIndex::compile(&tree, &grid, &snapshot).unwrap();
+            assert_eq!(idx.backend_name(), "cells");
+            for cell in grid.cells() {
+                let c = grid.centroid(cell).unwrap();
+                let (row, col) = grid.cell_of(&c).unwrap();
+                assert_eq!(
+                    idx.lookup(&c).unwrap().leaf_id,
+                    tree.locate(row, col).unwrap()
+                );
+            }
         }
     }
 
@@ -933,10 +600,19 @@ mod tests {
             &ModelSnapshot::uniform(partition.num_regions(), 0.5).unwrap(),
         )
         .unwrap();
-        for idx in [&by_tree, &by_cells] {
-            // Every cell boundary crossing plus the map edges: the
-            // points where a cache key derived differently from the
-            // lookup would hand out a neighbor's decision.
+        // The reference leaf of every cell, row-major.
+        let by_locate: Vec<usize> = grid
+            .cells()
+            .map(|cell| {
+                let (row, col) = grid.row_col(cell);
+                tree.locate(row, col).unwrap()
+            })
+            .collect();
+        let by_region: Vec<usize> = grid.cells().map(|c| partition.region_of(c)).collect();
+        for (idx, reference) in [(&by_tree, &by_locate), (&by_cells, &by_region)] {
+            // Every cell boundary crossing plus the map edges: the points
+            // where a table keyed differently from `Grid::cell_of` would
+            // hand out a neighbor's decision.
             for i in 0..=8 {
                 for j in 0..=8 {
                     for (dx, dy) in [(0.0, 0.0), (1e-12, 0.0), (0.0, 1e-12), (-1e-12, -1e-12)] {
@@ -944,19 +620,17 @@ mod tests {
                             (i as f64 / 8.0 + dx).clamp(0.0, 1.0),
                             (j as f64 / 8.0 + dy).clamp(0.0, 1.0),
                         );
-                        let cell = idx.cell_index(&p).unwrap();
+                        let (row, col) = grid.cell_of(&p).unwrap();
                         assert_eq!(
-                            idx.lookup_cell(cell).unwrap(),
-                            idx.lookup(&p).unwrap(),
-                            "cell {cell} at {p:?}"
+                            idx.lookup(&p).unwrap().leaf_id,
+                            reference[grid.cell_id(row, col)],
+                            "cell ({row}, {col}) at {p:?}"
                         );
                     }
                 }
             }
-            assert!(idx.cell_index(&Point::new(1.5, 0.5)).is_none());
-            assert!(idx.cell_index(&Point::new(f64::NAN, 0.5)).is_none());
-            assert!(idx.lookup_cell(64).is_none());
-            assert!(idx.lookup_cell(u64::MAX).is_none());
+            assert!(idx.lookup(&Point::new(1.5, 0.5)).is_none());
+            assert!(idx.lookup(&Point::new(f64::NAN, 0.5)).is_none());
         }
     }
 
@@ -964,26 +638,26 @@ mod tests {
     fn reciprocal_fast_path_is_bit_identical_to_grid_cell_of() {
         // Power-of-two cell sizes arm the reciprocal multiply; a dense
         // sweep of awkward fractions must agree with `Grid::cell_of`
-        // bit for bit (both then feed the same floor-and-clamp).
+        // bit for bit. One region per cell makes the leaf id the cell id.
         let grid = grid8();
-        let tree = median_tree(&grid);
-        let snapshot = ModelSnapshot::uniform(tree.num_leaves(), 0.5).unwrap();
-        let index = FrozenIndex::compile(&tree, &grid, &snapshot).unwrap();
+        let partition = Partition::uniform(&grid, 8, 8).unwrap();
+        let snapshot = ModelSnapshot::uniform(partition.num_regions(), 0.5).unwrap();
+        let index = FrozenIndex::from_partition(&partition, &grid, &snapshot).unwrap();
         assert!(index.inv_wh.is_some(), "1/8 cells must arm the fast path");
         for i in 0..=997 {
             for j in [0, 1, 501, 996, 997] {
                 let p = Point::new(i as f64 / 997.0, j as f64 / 997.0);
                 let (row, col) = grid.cell_of(&p).unwrap();
                 assert_eq!(
-                    index.cell_index(&p),
-                    Some((row * grid.cols() + col) as u64),
+                    index.lookup(&p).map(|d| d.leaf_id),
+                    Some(row * grid.cols() + col),
                     "at {p:?}"
                 );
             }
         }
         // Non-power-of-two cell sizes must fall back to the division.
         let odd = Grid::new(Rect::unit(), 3, 5).unwrap();
-        let partition = Partition::uniform(&odd, 1, 5).unwrap();
+        let partition = Partition::uniform(&odd, 3, 5).unwrap();
         let by_cells = FrozenIndex::from_partition(
             &partition,
             &odd,
@@ -997,8 +671,8 @@ mod tests {
         let p = Point::new(0.4, 0.7);
         let (row, col) = odd.cell_of(&p).unwrap();
         assert_eq!(
-            by_cells.cell_index(&p),
-            Some((row * odd.cols() + col) as u64)
+            by_cells.lookup(&p).map(|d| d.leaf_id),
+            Some(row * odd.cols() + col)
         );
     }
 
@@ -1029,30 +703,47 @@ mod tests {
 
     #[test]
     fn range_query_agrees_with_kd_tree() {
-        let grid = grid8();
-        let tree = median_tree(&grid);
-        let snapshot = ModelSnapshot::uniform(tree.num_leaves(), 0.5).unwrap();
-        let idx = FrozenIndex::compile(&tree, &grid, &snapshot).unwrap();
-        // Whole map → every leaf.
-        let all = idx.range_query(&Rect::unit());
-        assert_eq!(all, (0..tree.num_leaves()).collect::<Vec<_>>());
-        // A strictly interior sliver inside one leaf column.
-        let sliver = Rect::new(0.01, 0.01, 0.02, 0.02).unwrap();
-        let got = idx.range_query(&sliver);
-        assert_eq!(got.len(), 1);
-        let cell = grid.locate(&Point::new(0.015, 0.015)).unwrap();
-        let (row, col) = grid.row_col(cell);
-        assert_eq!(got[0], tree.locate(row, col).unwrap());
-        // Off-map queries return nothing.
-        assert!(idx
-            .range_query(&Rect::new(2.0, 2.0, 3.0, 3.0).unwrap())
-            .is_empty());
+        for grid in [grid8(), Grid::unit(16).unwrap()] {
+            let tree = if grid.rows() == 8 {
+                median_tree(&grid)
+            } else {
+                skewed_tree(&grid)
+            };
+            let snapshot = ModelSnapshot::uniform(tree.num_leaves(), 0.5).unwrap();
+            let idx = FrozenIndex::compile(&tree, &grid, &snapshot).unwrap();
+            // Whole map → every leaf.
+            let all = idx.range_query(&Rect::unit());
+            assert_eq!(all, (0..tree.num_leaves()).collect::<Vec<_>>());
+            // Every block with corners on a stride-3 lattice, against the
+            // tree's own range query over the same cells.
+            let n = grid.rows();
+            for r0 in (0..n).step_by(3) {
+                for r1 in (r0 + 1..=n).step_by(3) {
+                    for c0 in (0..n).step_by(3) {
+                        for c1 in (c0 + 1..=n).step_by(3) {
+                            let block = CellRect::new(r0, r1, c0, c1);
+                            let mut want = tree.range_query(&block);
+                            want.sort_unstable();
+                            assert_eq!(
+                                idx.range_query(&block_rect(&grid, &block)),
+                                want,
+                                "{block:?}"
+                            );
+                        }
+                    }
+                }
+            }
+            // Off-map queries return nothing.
+            assert!(idx
+                .range_query(&Rect::new(2.0, 2.0, 3.0, 3.0).unwrap())
+                .is_empty());
+        }
     }
 
     #[test]
     fn single_leaf_tree_serves_the_whole_map() {
         // A 1×1 grid admits no split, so even height 1 yields a lone
-        // leaf — exercising the leaf-root encoding of the flat tree.
+        // leaf: a one-entry table.
         let grid = Grid::unit(1).unwrap();
         let stats = CellStats::new(&grid, &[5.0], &[0.0], &[0.0]).unwrap();
         let tree = build_kd_tree(
@@ -1122,26 +813,18 @@ mod tests {
             for rect in &quads {
                 let part = full.compile_clipped(rect).unwrap();
                 assert!(part.heap_bytes() < full.heap_bytes());
-                let block = part.clip.as_ref().unwrap().cells;
+                let block = part.block;
                 let mut inside_pts = Vec::new();
                 let mut outside_pts = Vec::new();
                 for cell in grid.cells() {
                     let (row, col) = grid.row_col(cell);
                     let c = grid.centroid(cell).unwrap();
-                    let inside = row >= block.row_start
-                        && row < block.row_end
-                        && col >= block.col_start
-                        && col < block.col_end;
-                    if inside {
+                    if block.contains(row, col) {
                         inside_pts.push(c);
                         assert_eq!(part.lookup(&c), full.lookup(&c), "cell {cell}");
-                        assert_eq!(part.cell_index(&c), full.cell_index(&c));
-                        assert_eq!(part.lookup_cell(cell as u64), full.lookup_cell(cell as u64));
                     } else {
                         outside_pts.push(c);
                         assert!(part.lookup(&c).is_none(), "cell {cell}");
-                        assert!(part.cell_index(&c).is_none());
-                        assert!(part.lookup_cell(cell as u64).is_none());
                     }
                 }
                 let (mut got, mut want) = (Vec::new(), Vec::new());
@@ -1194,29 +877,6 @@ mod tests {
     }
 
     #[test]
-    fn clipping_to_one_leaf_contracts_the_tree() {
-        let grid = grid8();
-        let tree = median_tree(&grid);
-        let snapshot = ModelSnapshot::uniform(tree.num_leaves(), 0.5).unwrap();
-        let full = FrozenIndex::compile(&tree, &grid, &snapshot).unwrap();
-        let part = full
-            .compile_clipped(&Rect::new(0.01, 0.01, 0.02, 0.02).unwrap())
-            .unwrap();
-        assert_eq!(part.num_leaves(), 1);
-        let Backend::Tree(ft) = &part.backend else {
-            panic!("tree-compiled index must keep the tree backend");
-        };
-        assert!(ft.nodes.is_empty(), "single-leaf clip contracts every cut");
-        let p = Point::new(0.015, 0.015);
-        assert_eq!(part.lookup(&p), full.lookup(&p));
-        assert_eq!(
-            part.range_query(&Rect::new(0.01, 0.01, 0.02, 0.02).unwrap())
-                .len(),
-            1
-        );
-    }
-
-    #[test]
     fn clip_validates_inputs_and_reports_block_bounds() {
         let grid = grid8();
         let tree = median_tree(&grid);
@@ -1245,8 +905,14 @@ mod tests {
         let tree = median_tree(&grid);
         let snapshot = ModelSnapshot::uniform(tree.num_leaves(), 0.5).unwrap();
         let idx = FrozenIndex::compile(&tree, &grid, &snapshot).unwrap();
-        // 7 internal nodes * 24B + 8 leaves * (3*8B + 4B) = 392.
-        assert_eq!(idx.heap_bytes(), 7 * 24 + 8 * 28);
+        // 64 cells * 4B + 8 leaves * (3*8B + 4B) = 480.
+        assert_eq!(idx.heap_bytes(), 64 * 4 + 8 * 28);
+        // A partial index stores only its block: 5×5 cells, and the 4
+        // leaves it touches plus their global ids.
+        let part = idx
+            .compile_clipped(&Rect::new(0.0, 0.0, 0.5, 0.5).unwrap())
+            .unwrap();
+        assert_eq!(part.heap_bytes(), 25 * 4 + part.num_leaves() * (28 + 4));
         assert_eq!(idx.grid_shape(), (8, 8));
         assert_eq!(idx.num_leaves(), 8);
         assert_eq!(idx.offsets(), &[0.0; 8]);

@@ -123,8 +123,8 @@ impl IndexReader {
     }
 
     /// The freshest snapshot *and* the generation it serves at, read as
-    /// one consistent pair — what a generation-keyed decision cache
-    /// needs per lookup. Same cost as [`IndexReader::snapshot`]: one
+    /// one consistent pair, so a stats row never pairs one generation's
+    /// footprint with another's number. Same cost as [`IndexReader::snapshot`]: one
     /// atomic load unless a swap actually happened.
     #[inline]
     pub fn snapshot_with_generation(&mut self) -> (&FrozenIndex, u64) {

@@ -2,8 +2,9 @@
 //!
 //! The rest of the workspace *builds* fair KD-trees; this crate *serves*
 //! them. A trained `(KdTree, model, grid)` triple is compiled into a
-//! [`FrozenIndex`] — a flat, arena-ordered, immutable structure with
-//! branchless continuous-point → leaf traversal — and queried online:
+//! [`FrozenIndex`] — an immutable per-cell leaf table over the grid, so
+//! a continuous point → leaf lookup is one floor-and-clamp and one load
+//! — and queried online:
 //!
 //! * [`FrozenIndex::lookup`] maps one [`fsi_geo::Point`] to a
 //!   [`Decision`]: leaf id, raw model score, locally calibrated score and
@@ -24,8 +25,7 @@
 //!   lookups route to one shard, range queries scatter-gather, rebuilds
 //!   run a two-phase generation barrier. Built from a validated
 //!   [`TopologySpec`] (`rows × cols`, per-shard `local` or
-//!   `http://host:port`). The replica-only [`ShardRouter`] is its
-//!   deprecated predecessor.
+//!   `http://host:port`).
 //! * [`IndexHandle`] / [`IndexReader`] — lock-free reads with atomic
 //!   snapshot hot-swap (std-only `Arc` + atomics), so a rebuild never
 //!   blocks a query.
@@ -72,7 +72,6 @@ pub mod maintain;
 pub mod obs;
 pub mod rebuild;
 pub mod service;
-pub mod shard;
 pub mod topology;
 
 pub use driver::{sweep, ThroughputReport};
@@ -83,14 +82,10 @@ pub use maintain::MaintenanceHandle;
 pub use obs::{prometheus_text, SlowQueryRecord, SlowQuerySink};
 pub use rebuild::{build_index, compile_run, RebuildReport, Rebuilder};
 pub use service::QueryService;
-pub use shard::ShardRouter;
 pub use topology::{
     BackendSpec, LocalShard, ShardBackend, ShardDescriptor, SlotConnector, Topology, TopologySpec,
     TransportStats,
 };
-
-// The decision-cache vocabulary callers configure services with.
-pub use fsi_cache::{CacheError, CacheScope, CacheSpec, CacheStats};
 
 // The streaming-ingestion vocabulary callers configure maintenance with.
 pub use fsi_ingest::{IngestError, MaintenanceSpec, MaintenanceTrigger};

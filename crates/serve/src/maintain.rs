@@ -6,8 +6,7 @@
 //! the delta buffer, and when the [`MaintenanceSpec`] policy trips, merge
 //! the buffered points into the training set, retrain, and republish
 //! through the same two-phase rebuild barrier manual rebuilds use.
-//! Readers keep answering from the previous generation throughout; the
-//! decision cache invalidates implicitly when the generation bumps.
+//! Readers keep answering from the previous generation throughout.
 //!
 //! A failed pass is logged into the service's error telemetry by
 //! `maintain` itself and retried on the next poll — the buffered points

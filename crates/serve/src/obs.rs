@@ -4,11 +4,11 @@
 //! the Prometheus text renderer behind every `/metrics` surface, and
 //! the slow-query log vocabulary.
 //!
-//! Placement mirrors the decision cache (`fsi-cache`): cloning a
-//! service registers a fresh metrics shard in the shared
-//! [`fsi_obs::Registry`], so the dispatch hot path touches only its own
-//! uncontended atomics, and a scrape folds every worker's shard —
-//! including retired ones, because counters are cumulative.
+//! Placement is per worker: cloning a service registers a fresh
+//! metrics shard in the shared [`fsi_obs::Registry`], so the dispatch
+//! hot path touches only its own uncontended atomics, and a scrape
+//! folds every worker's shard — including retired ones, because
+//! counters are cumulative.
 //!
 //! ## The torn-snapshot contract
 //!
@@ -126,10 +126,6 @@ pub(crate) struct ServiceMetrics {
     pub(crate) latency: [Histogram; KINDS.len()],
     /// Error responses, by [`CODES`] index.
     pub(crate) errors: [Counter; CODES.len()],
-    /// Decision-cache hits observed by this worker.
-    pub(crate) cache_hits: Counter,
-    /// Decision-cache misses observed by this worker.
-    pub(crate) cache_misses: Counter,
     /// Requests over the slow-query threshold.
     pub(crate) slow_queries: Counter,
     /// Highest generation this worker has published (raised on rebuild
@@ -155,8 +151,6 @@ impl ServiceMetrics {
             requests: std::array::from_fn(|_| Counter::new()),
             latency: std::array::from_fn(|_| Histogram::new()),
             errors: std::array::from_fn(|_| Counter::new()),
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
             slow_queries: Counter::new(),
             generation: Gauge::new(),
             shards: (0..n_shards).map(|_| ShardMetrics::new()).collect(),
@@ -181,8 +175,6 @@ pub(crate) struct MetricsFold {
     pub(crate) requests: [u64; KINDS.len()],
     pub(crate) latency: [HistogramSnapshot; KINDS.len()],
     pub(crate) errors: [u64; CODES.len()],
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
     pub(crate) slow_queries: u64,
     pub(crate) generation: u64,
     pub(crate) shards: Vec<ShardFold>,
@@ -202,8 +194,6 @@ impl MetricsFold {
             requests: [0; KINDS.len()],
             latency: std::array::from_fn(|_| HistogramSnapshot::empty()),
             errors: [0; CODES.len()],
-            cache_hits: 0,
-            cache_misses: 0,
             slow_queries: 0,
             generation: 0,
             shards: (0..n_shards)
@@ -235,8 +225,6 @@ impl MetricsFold {
             for c in 0..CODES.len() {
                 acc.errors[c] += m.errors[c].get();
             }
-            acc.cache_hits += m.cache_hits.get();
-            acc.cache_misses += m.cache_misses.get();
             acc.slow_queries += m.slow_queries.get();
             acc.generation = acc.generation.max(m.generation.get());
             acc
@@ -338,26 +326,6 @@ pub fn prometheus_text(body: &MetricsBody) -> String {
         "Highest observed index snapshot generation.",
     );
     e.sample_u64("fsi_generation", &[], body.generation);
-    if let Some(cache) = &body.cache {
-        e.family("fsi_cache_hits_total", "counter", "Decision-cache hits.");
-        e.sample_u64("fsi_cache_hits_total", &[], cache.hits);
-        e.family(
-            "fsi_cache_misses_total",
-            "counter",
-            "Decision-cache misses.",
-        );
-        e.sample_u64("fsi_cache_misses_total", &[], cache.misses);
-        e.family(
-            "fsi_cache_evictions_total",
-            "counter",
-            "Decision-cache evictions.",
-        );
-        e.sample_u64("fsi_cache_evictions_total", &[], cache.evictions);
-        e.family("fsi_cache_entries", "gauge", "Decision-cache live entries.");
-        e.sample_u64("fsi_cache_entries", &[], cache.entries as u64);
-        e.family("fsi_cache_capacity", "gauge", "Decision-cache capacity.");
-        e.sample_u64("fsi_cache_capacity", &[], cache.capacity as u64);
-    }
     if !body.shards.is_empty() {
         e.family(
             "fsi_shard_requests_total",
@@ -692,6 +660,8 @@ mod tests {
             }],
             slow_queries: 1,
             generation: 3,
+            // A cache block from an older peer still decodes, but no
+            // longer renders any family.
             cache: Some(CacheStatsBody {
                 hits: 5,
                 misses: 4,
@@ -755,11 +725,6 @@ mod tests {
             "fsi_errors_total{code=\"out_of_bounds\"} 2\n",
             "fsi_slow_queries_total 1\n",
             "fsi_generation 3\n",
-            "fsi_cache_hits_total 5\n",
-            "fsi_cache_misses_total 4\n",
-            "fsi_cache_evictions_total 1\n",
-            "fsi_cache_entries 3\n",
-            "fsi_cache_capacity 64\n",
             "fsi_shard_requests_total{shard=\"0\",backend=\"replicas\"} 6\n",
             "fsi_shard_failures_total{shard=\"0\",backend=\"replicas\"} 1\n",
             "fsi_shard_reconnects_total{shard=\"0\",backend=\"replicas\"} 2\n",
@@ -787,13 +752,13 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+        assert!(!text.contains("cache"), "{text}");
     }
 
     #[test]
     fn empty_bodies_render_without_optional_families() {
         let text = prometheus_text(&MetricsBody::empty());
         assert!(text.contains("fsi_slow_queries_total 0\n"));
-        assert!(!text.contains("fsi_cache_hits_total"));
         assert!(!text.contains("fsi_shard_requests_total"));
         assert!(!text.contains("fsi_http_requests_total"));
         assert!(!text.contains("fsi_ingest_accepted_total"));

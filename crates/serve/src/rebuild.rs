@@ -24,17 +24,13 @@ pub fn build_index(
 
 /// Compiles an already finished pipeline run into a [`FrozenIndex`].
 ///
-/// Tree-backed methods (`MedianKd`, `FairKd`, `IterativeFairKd`)
-/// compile their KD-tree into the flat branchless backend; the other
-/// methods fall back to the per-cell partition backend
-/// ([`FrozenIndex::from_partition`]), which the differential tests prove
-/// lookup-equivalent wherever both exist.
+/// Every method's run carries its partition — for the tree-backed
+/// methods (`MedianKd`, `FairKd`, `IterativeFairKd`) that is
+/// [`fsi_core::KdTree::partition`] of the run's tree — and the index is
+/// that partition's per-cell leaf table.
 pub fn compile_run(run: &MethodRun, dataset: &SpatialDataset) -> Result<FrozenIndex, ServeError> {
     let snapshot: ModelSnapshot = run.model_snapshot()?;
-    match run.tree.as_ref() {
-        Some(tree) => FrozenIndex::compile(tree, dataset.grid(), &snapshot),
-        None => FrozenIndex::from_partition(&run.partition, dataset.grid(), &snapshot),
-    }
+    FrozenIndex::from_partition(&run.partition, dataset.grid(), &snapshot)
 }
 
 /// What a finished rebuild did.
@@ -147,9 +143,18 @@ mod tests {
             let expected = run.partition.region_of(d.cells()[i]);
             assert_eq!(index.lookup(p).unwrap().leaf_id, expected);
         }
-        // Tree-backed methods still get the flat tree backend.
-        let (index, _) = build_index(&d, &spec(Method::MedianKd, 3)).unwrap();
-        assert_eq!(index.backend_name(), "tree");
+        // Tree-backed methods compile to the same table, keyed by the
+        // tree's own leaf ids.
+        let (index, run) = build_index(&d, &spec(Method::MedianKd, 3)).unwrap();
+        assert_eq!(index.backend_name(), "cells");
+        let tree = run.tree.as_ref().expect("a KD method keeps its tree");
+        for p in d.locations().iter().take(50) {
+            let (row, col) = d.grid().cell_of(p).unwrap();
+            assert_eq!(
+                index.lookup(p).unwrap().leaf_id,
+                tree.locate(row, col).unwrap()
+            );
+        }
     }
 
     #[test]

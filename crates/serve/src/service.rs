@@ -28,7 +28,6 @@ use crate::obs::{
 use crate::rebuild::build_index;
 use crate::topology::{ShardBackend, Topology};
 use crate::{IndexReader, RebuildReport, ServeError};
-use fsi_cache::{CacheKey, CacheScope, CacheSpec, CacheStats, FrontedLru, ShardedLru};
 use fsi_core::CellStats;
 use fsi_data::SpatialDataset;
 use fsi_geo::{Point, Rect};
@@ -39,9 +38,9 @@ use fsi_ingest::{
 use fsi_obs::{Recorder, Registry};
 use fsi_pipeline::{MethodRun, PipelineSpec, TaskSpec};
 use fsi_proto::{
-    CacheStatsBody, DecisionBody, ErrorCode, ErrorCountBody, HealthBody, IngestBody, MetricsBody,
-    PreparedBody, RebuildObsBody, Request, RequestKindMetrics, Response, ShardHealthBody,
-    ShardObsBody, ShardStatsBody, StatsBody, WirePoint,
+    DecisionBody, ErrorCode, ErrorCountBody, HealthBody, IngestBody, MetricsBody, PreparedBody,
+    RebuildObsBody, Request, RequestKindMetrics, Response, ShardHealthBody, ShardObsBody,
+    ShardStatsBody, StatsBody, WirePoint,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -73,61 +72,6 @@ impl From<DecisionBody> for Decision {
             calibrated_score: d.calibrated_score,
         }
     }
-}
-
-/// How a configured decision cache is placed for one service clone.
-///
-/// Decisions are deterministic per (shard, cell, generation), and a
-/// shard's generation uniquely identifies its published index, so a
-/// cached decision can never go stale: a hot-swap bumps the generation,
-/// which changes every key, and the orphaned entries age out of the LRU.
-enum CacheStore {
-    /// This clone owns its cache outright — the zero-lock placement,
-    /// with a direct-mapped front over the exact LRU (see
-    /// [`FrontedLru`]).
-    PerWorker(FrontedLru<Decision>),
-    /// All clones share one sharded cache behind per-shard mutexes.
-    Shared(Arc<ShardedLru<Decision>>),
-}
-
-impl CacheStore {
-    fn from_spec(spec: &CacheSpec) -> Result<Self, ServeError> {
-        spec.validate()?;
-        Ok(match spec.scope {
-            CacheScope::PerWorker => CacheStore::PerWorker(FrontedLru::new(spec.capacity)?),
-            CacheScope::Shared => CacheStore::Shared(Arc::new(ShardedLru::new(spec)?)),
-        })
-    }
-
-    #[inline]
-    fn get(&mut self, key: CacheKey) -> Option<Decision> {
-        match self {
-            CacheStore::PerWorker(cache) => cache.get(key),
-            CacheStore::Shared(cache) => cache.get(key),
-        }
-    }
-
-    fn insert(&mut self, key: CacheKey, decision: Decision) {
-        match self {
-            CacheStore::PerWorker(cache) => cache.insert(key, decision),
-            CacheStore::Shared(cache) => cache.insert(key, decision),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        match self {
-            CacheStore::PerWorker(cache) => cache.stats(),
-            CacheStore::Shared(cache) => cache.stats(),
-        }
-    }
-}
-
-/// The optional decision cache of one service clone: the validated spec
-/// it was built from (clones re-derive per-worker placements from it)
-/// plus the placement itself.
-struct CacheLayer {
-    spec: CacheSpec,
-    store: CacheStore,
 }
 
 /// The streaming-ingestion state of a service, shared by every clone
@@ -259,8 +203,6 @@ pub struct QueryService {
     points: Vec<Point>,
     /// Reusable scratch for batch lookups (decisions out).
     decisions: Vec<Decision>,
-    /// Optional generation-keyed decision cache over point lookups.
-    cache: Option<CacheLayer>,
     /// Optional streaming-ingestion state, shared across clones.
     ingest: Option<Arc<IngestState>>,
     /// This clone's telemetry shard in the registry every clone shares;
@@ -282,12 +224,11 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Creates a service over a [`Topology`] (a deprecated
-    /// `ShardRouter` converts via `Into`, preserving its replica
-    /// semantics), without rebuild support: `Rebuild` requests answer a
-    /// structured [`ErrorCode::RebuildUnavailable`] error.
-    pub fn new(topology: impl Into<Topology>) -> Self {
-        Self::over(Arc::new(topology.into()), None)
+    /// Creates a service over a [`Topology`], without rebuild support:
+    /// `Rebuild` requests answer a structured
+    /// [`ErrorCode::RebuildUnavailable`] error.
+    pub fn new(topology: Topology) -> Self {
+        Self::over(Arc::new(topology), None)
     }
 
     /// Enables spec-driven rebuilds: a `Rebuild{spec}` request retrains
@@ -299,22 +240,6 @@ impl QueryService {
     pub fn with_rebuild(mut self, dataset: Arc<SpatialDataset>) -> Self {
         self.rebuild_dataset = Some(dataset);
         self
-    }
-
-    /// Puts a decision cache in front of point lookups, validating the
-    /// spec first. Decisions are keyed by (shard, cell, generation), so
-    /// hot-swap rebuilds invalidate implicitly — see [`CacheSpec`] for
-    /// the placement choices. Only local shards are cached; remote
-    /// shards answer behind their own caches.
-    pub fn with_cache(mut self, spec: CacheSpec) -> Result<Self, ServeError> {
-        let store = CacheStore::from_spec(&spec)?;
-        self.cache = Some(CacheLayer { spec, store });
-        Ok(self)
-    }
-
-    /// The cache configuration, when one is attached.
-    pub fn cache_spec(&self) -> Option<&CacheSpec> {
-        self.cache.as_ref().map(|layer| &layer.spec)
     }
 
     /// Enables streaming ingestion: `Ingest` / `IngestBatch` requests
@@ -411,7 +336,6 @@ impl QueryService {
             rebuild_dataset,
             points: Vec::new(),
             decisions: Vec::new(),
-            cache: None,
             ingest: None,
             obs: Some(Registry::new(move || ServiceMetrics::new(n_shards)).recorder()),
             tick: 0,
@@ -690,13 +614,9 @@ impl QueryService {
                     }
                     return response;
                 }
-                if self.cache.is_some() {
-                    self.cached_decision(shard, &p)
-                } else {
-                    match &mut self.slots[shard] {
-                        ShardSlot::Local(reader) => reader.snapshot().lookup(&p),
-                        ShardSlot::Remote { .. } => None,
-                    }
+                match &mut self.slots[shard] {
+                    ShardSlot::Local(reader) => reader.snapshot().lookup(&p),
+                    ShardSlot::Remote { .. } => None,
                 }
             }
             None => None,
@@ -717,93 +637,7 @@ impl QueryService {
         }
     }
 
-    /// The decision for `p` through the cache; `None` means out of
-    /// bounds. Only called with a cache configured and a local `shard`.
-    ///
-    /// A hit costs the cell computation (the same two divisions the
-    /// uncached path pays) plus one hash probe — the tree traversal and
-    /// decision assembly are skipped. A miss additionally resolves the
-    /// cell through the index and fills the entry, so cold traffic pays
-    /// one probe over the uncached path.
-    #[inline]
-    fn cached_decision(&mut self, shard: usize, p: &Point) -> Option<Decision> {
-        let ShardSlot::Local(reader) = &mut self.slots[shard] else {
-            // Callers forward remote shards before the cache layer.
-            return None;
-        };
-        let (index, generation) = reader.snapshot_with_generation();
-        let cell = index.cell_index(p)?;
-        // The shard id rides in the key's high bits: each shard's handle
-        // numbers its own generations, so (cell, generation) alone could
-        // collide across shards that published different indexes.
-        debug_assert!(cell < 1 << 48, "cell id exceeds the shard-packing range");
-        let key = CacheKey::new((shard as u64) << 48 | cell, generation);
-        let cache = self.cache.as_mut().expect("caller checked cache.is_some()");
-        if let Some(decision) = cache.store.get(key) {
-            if let Some(obs) = &self.obs {
-                obs.cache_hits.inc();
-            }
-            return Some(decision);
-        }
-        let decision = index.lookup_cell(cell)?;
-        cache.store.insert(key, decision);
-        if let Some(obs) = &self.obs {
-            obs.cache_misses.inc();
-        }
-        Some(decision)
-    }
-
     fn lookup_batch(&mut self, points: &[WirePoint]) -> Response {
-        // Cached: every local point goes through the same per-point
-        // cache path as single lookups, so batch and single answers (and
-        // counters) cannot diverge; remote points forward point-wise.
-        if self.cache.is_some() {
-            self.decisions.clear();
-            self.decisions.reserve(points.len());
-            for (i, wp) in points.iter().enumerate() {
-                let p = Point::new(wp.x, wp.y);
-                let shard = if self.slots.len() == 1 {
-                    Some(0)
-                } else {
-                    self.topology.shard_of(&p)
-                };
-                let Some(shard) = shard else {
-                    self.decisions.clear();
-                    return batch_oob(i, wp);
-                };
-                if matches!(self.slots[shard], ShardSlot::Remote { .. }) {
-                    match self.remote_dispatch(shard, &Request::Lookup { x: wp.x, y: wp.y }) {
-                        Response::Decision { decision } => self.decisions.push(decision.into()),
-                        Response::Error { error } if error.code == ErrorCode::OutOfBounds => {
-                            self.decisions.clear();
-                            return batch_oob(i, wp);
-                        }
-                        Response::Error { error } => {
-                            self.decisions.clear();
-                            return Response::Error { error };
-                        }
-                        _ => {
-                            self.decisions.clear();
-                            return Response::error(
-                                ErrorCode::Internal,
-                                format!("shard {shard} answered an unexpected lookup response"),
-                            );
-                        }
-                    }
-                    continue;
-                }
-                match self.cached_decision(shard, &p) {
-                    Some(d) => self.decisions.push(d),
-                    None => {
-                        self.decisions.clear();
-                        return batch_oob(i, wp);
-                    }
-                }
-            }
-            return Response::Decisions {
-                decisions: self.decisions.iter().map(|&d| d.into()).collect(),
-            };
-        }
         // Single local shard: feed the whole batch through the frozen
         // index's buffer-reusing batch path.
         if self.slots.len() == 1 {
@@ -1029,16 +863,6 @@ impl QueryService {
 
     fn stats(&mut self) -> Response {
         self.flush_pending();
-        let cache = self.cache.as_ref().map(|layer| {
-            let s = layer.store.stats();
-            CacheStatsBody {
-                hits: s.hits,
-                misses: s.misses,
-                evictions: s.evictions,
-                entries: s.len,
-                capacity: s.capacity,
-            }
-        });
         let mut per_shard: Vec<Option<ShardStatsBody>> = Vec::with_capacity(self.slots.len());
         let mut jobs: Vec<(usize, Request)> = Vec::new();
         for shard in 0..self.slots.len() {
@@ -1107,7 +931,7 @@ impl QueryService {
                 num_leaves: first.num_leaves,
                 heap_bytes: first.heap_bytes,
                 backend: first.backend.clone(),
-                cache,
+                cache: None,
                 per_shard: Some(per_shard),
                 // The answering worker's merged local snapshot (no
                 // remote scatter-gather — that is what `Metrics` is
@@ -1205,19 +1029,6 @@ impl QueryService {
                 generation = generation.max(local.handle().generation());
             }
         }
-        // Hit/miss totals come from the recorder (folded across every
-        // worker, which a per-worker store cannot report); eviction and
-        // occupancy figures from this clone's store, like `stats()`.
-        let cache = self.cache.as_ref().map(|layer| {
-            let s = layer.store.stats();
-            CacheStatsBody {
-                hits: fold.cache_hits,
-                misses: fold.cache_misses,
-                evictions: s.evictions,
-                entries: s.len,
-                capacity: s.capacity,
-            }
-        });
         // A scrape re-measures drift so the gauge is live even when no
         // maintenance thread is polling; the stored bits are the
         // fallback if the baseline shape ever disagrees mid-swap.
@@ -1278,7 +1089,7 @@ impl QueryService {
                 .collect(),
             slow_queries: fold.slow_queries,
             generation,
-            cache,
+            cache: None,
             shards,
             rebuild: RebuildObsBody {
                 prepare: fold.prepare,
@@ -1799,26 +1610,12 @@ impl QueryService {
 impl Clone for QueryService {
     /// Clones share the topology (and thus the live, hot-swappable
     /// indexes and remote connections) but get fresh readers and empty
-    /// scratch buffers — one clone per transport worker thread. A
-    /// shared cache is shared with the clone; a per-worker cache is
-    /// re-created empty from its spec. The telemetry recorder clones
-    /// into a **fresh shard of the same registry** (per-worker
-    /// placement, merged on scrape), carrying the sampling and
-    /// slow-query configuration along.
+    /// scratch buffers — one clone per transport worker thread. The
+    /// telemetry recorder clones into a **fresh shard of the same
+    /// registry** (per-worker placement, merged on scrape), carrying the
+    /// sampling and slow-query configuration along.
     fn clone(&self) -> Self {
         let mut fresh = Self::over(Arc::clone(&self.topology), self.rebuild_dataset.clone());
-        if let Some(layer) = &self.cache {
-            let store = match &layer.store {
-                CacheStore::Shared(shared) => CacheStore::Shared(Arc::clone(shared)),
-                CacheStore::PerWorker(_) => {
-                    CacheStore::from_spec(&layer.spec).expect("spec validated at construction")
-                }
-            };
-            fresh.cache = Some(CacheLayer {
-                spec: layer.spec,
-                store,
-            });
-        }
         fresh.ingest = self.ingest.clone();
         fresh.obs = self.obs.clone();
         fresh.sample_mask = self.sample_mask;
@@ -2217,101 +2014,17 @@ mod tests {
         }
     }
 
-    /// Every (shape, scope) combination: cached answers must be
-    /// bit-identical to the uncached reference, and the counters must
-    /// add up.
     #[test]
-    fn cached_lookups_match_uncached_and_count_hits() {
-        let reference = index();
-        let points: Vec<(f64, f64)> = (0..64)
-            .map(|i| (((i % 8) as f64 + 0.5) / 8.0, ((i / 8) as f64 + 0.5) / 8.0))
-            .collect();
-        for shape in [(1, 1), (2, 2)] {
-            // The shared placement splits capacity across 8 shards and
-            // cells hash unevenly, so give each shard room for all 64
-            // distinct cells — this test is about parity and counting,
-            // not eviction.
-            for spec in [CacheSpec::per_worker(64), CacheSpec::shared(512)] {
-                let mut svc = service(shape).with_cache(spec).unwrap();
-                assert_eq!(svc.cache_spec(), Some(&spec));
-                for pass in 0..2 {
-                    for &(x, y) in &points {
-                        let expected: DecisionBody =
-                            reference.lookup(&Point::new(x, y)).unwrap().into();
-                        match svc.dispatch(&Request::Lookup { x, y }) {
-                            Response::Decision { decision } => {
-                                assert_eq!(decision, expected, "{shape:?} {spec:?} pass {pass}")
-                            }
-                            other => panic!("expected decision, got {other:?}"),
-                        }
-                    }
-                }
-                let Response::Stats { stats } = svc.dispatch(&Request::Stats) else {
-                    panic!("expected stats");
-                };
-                let cache = stats.cache.expect("cache stats must be reported");
-                // 64 points over a 4-leaf/64-cell grid: the first pass
-                // populates each distinct cell once, the second hits.
-                assert_eq!(cache.hits + cache.misses, 128);
-                assert_eq!(cache.misses, 64, "{shape:?} {spec:?}");
-                assert_eq!(cache.capacity, spec.capacity);
-                assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn cached_batches_match_singles_and_report_out_of_bounds() {
-        let mut plain = service((2, 2));
-        let mut cached = service((2, 2))
-            .with_cache(CacheSpec::per_worker(16))
-            .unwrap();
-        let points: Vec<WirePoint> = (0..40)
-            .map(|i| WirePoint::new((i as f64 * 0.13) % 1.0, (i as f64 * 0.37) % 1.0))
-            .collect();
-        let expected = plain.dispatch(&Request::LookupBatch {
-            points: points.clone(),
-        });
-        let got = cached.dispatch(&Request::LookupBatch {
-            points: points.clone(),
-        });
-        assert_eq!(format!("{expected:?}"), format!("{got:?}"));
-        let mut bad = points;
-        bad[11] = WirePoint::new(-3.0, 0.5);
-        match cached.dispatch(&Request::LookupBatch { points: bad }) {
-            Response::Error { error } => {
-                assert_eq!(error.code, ErrorCode::OutOfBounds);
-                assert!(error.message.contains("11"), "{}", error.message);
-            }
-            other => panic!("expected error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn invalid_cache_specs_are_rejected_up_front() {
-        let svc = service((1, 1));
-        match svc.with_cache(CacheSpec::per_worker(0)) {
-            Err(crate::ServeError::Cache(fsi_cache::CacheError::ZeroCapacity)) => {}
-            Err(other) => panic!("expected ZeroCapacity, got {other:?}"),
-            Ok(_) => panic!("zero-capacity spec must be rejected"),
-        }
-    }
-
-    #[test]
-    fn publish_invalidates_cached_decisions_via_the_generation_key() {
+    fn publish_reaches_the_very_next_lookup() {
         let handle = IndexHandle::new(index());
-        let mut svc = QueryService::new(Topology::single(handle.clone()))
-            .with_cache(CacheSpec::per_worker(64))
-            .unwrap();
+        let mut svc = QueryService::new(Topology::single(handle.clone()));
         let (x, y) = (0.1, 0.1);
         let Response::Decision { decision: before } = svc.dispatch(&Request::Lookup { x, y })
         else {
             panic!("expected decision");
         };
-        // Same point again: served from cache.
-        svc.dispatch(&Request::Lookup { x, y });
         // Publish an index with different scores; the very next lookup
-        // must reflect it even though the old entry is still resident.
+        // must reflect it.
         let grid = Grid::unit(8).unwrap();
         let partition = Partition::uniform(&grid, 2, 2).unwrap();
         let snapshot =
@@ -2323,35 +2036,8 @@ mod tests {
         assert!((before.raw_score - 0.2).abs() < 1e-12);
         assert!(
             (after.raw_score - 0.9).abs() < 1e-12,
-            "stale cache entry served"
+            "stale decision served"
         );
-    }
-
-    #[test]
-    fn shared_caches_are_shared_across_clones_but_per_worker_are_not() {
-        let svc = service((1, 1)).with_cache(CacheSpec::shared(64)).unwrap();
-        let mut a = svc.clone();
-        let mut b = svc.clone();
-        a.dispatch(&Request::Lookup { x: 0.1, y: 0.1 }); // miss, fills
-        b.dispatch(&Request::Lookup { x: 0.1, y: 0.1 }); // hit via shared store
-        let Response::Stats { stats } = b.dispatch(&Request::Stats) else {
-            panic!("expected stats");
-        };
-        let cache = stats.cache.unwrap();
-        assert_eq!((cache.hits, cache.misses), (1, 1));
-
-        let svc = service((1, 1))
-            .with_cache(CacheSpec::per_worker(64))
-            .unwrap();
-        let mut a = svc.clone();
-        let mut b = svc.clone();
-        a.dispatch(&Request::Lookup { x: 0.1, y: 0.1 });
-        b.dispatch(&Request::Lookup { x: 0.1, y: 0.1 }); // its own cold cache: miss
-        let Response::Stats { stats } = b.dispatch(&Request::Stats) else {
-            panic!("expected stats");
-        };
-        let cache = stats.cache.unwrap();
-        assert_eq!((cache.hits, cache.misses), (0, 1));
     }
 
     #[test]
@@ -2451,24 +2137,6 @@ mod tests {
         };
         let metrics = stats.metrics.expect("telemetry on by default");
         assert_eq!(metrics.count_for("lookup"), 1);
-    }
-
-    #[test]
-    fn cache_counters_flow_into_the_metrics_body() {
-        let mut svc = service((1, 1))
-            .with_cache(CacheSpec::per_worker(64))
-            .unwrap();
-        for _ in 0..2 {
-            for i in 0..8 {
-                let x = (i as f64 + 0.5) / 8.0;
-                svc.dispatch(&Request::Lookup { x, y: x });
-            }
-        }
-        let body = svc.metrics_snapshot();
-        let cache = body.cache.expect("cache stats in the metrics body");
-        assert_eq!(cache.misses, 8);
-        assert_eq!(cache.hits, 8);
-        assert_eq!(cache.capacity, 64);
     }
 
     #[test]

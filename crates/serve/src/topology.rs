@@ -25,7 +25,6 @@
 use crate::error::ServeError;
 use crate::frozen::FrozenIndex;
 use crate::handle::{IndexHandle, IndexReader};
-use crate::shard::ShardRouter;
 use fsi_geo::{Point, Rect};
 use fsi_proto::{
     ErrorCode, HealthBody, MetricsBody, Request, Response, ShardHealthBody, StatsBody,
@@ -214,7 +213,7 @@ impl LocalShard {
 impl ShardBackend for LocalShard {
     /// Serves directly off the live index — the same answers (bit for
     /// bit, error text included) a [`crate::QueryService`] gives, minus
-    /// the cache and rebuild layers, so local-vs-remote differential
+    /// the telemetry and rebuild layers, so local-vs-remote differential
     /// tests can compare backends uniformly.
     #[inline]
     fn dispatch(&self, request: &Request) -> Response {
@@ -445,8 +444,7 @@ where
 
 /// A validated, serializable description of a serving topology:
 /// `rows × cols` shards in row-major order, each backed per
-/// [`BackendSpec`]. The canonical way to configure sharded serving —
-/// positional `(rows, cols)` constructors are deprecated shims over it.
+/// [`BackendSpec`]. The canonical way to configure sharded serving.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopologySpec {
     /// Shard grid rows.
@@ -533,8 +531,7 @@ impl TopologySpec {
 }
 
 /// A `rows × cols` spatial partition of the served bounding rectangle
-/// over a set of [`ShardBackend`]s — the successor of the replica-only
-/// `ShardRouter`.
+/// over a set of [`ShardBackend`]s.
 ///
 /// Immutable after construction (the backends hot-swap internally), so
 /// services keep it behind an `Arc` and route from as many threads as
@@ -578,14 +575,6 @@ impl Topology {
             backends.push(Box::new(LocalShard::clipped(&index, rect)?));
         }
         Ok(Self::over(bounds, rows, cols, backends))
-    }
-
-    /// A `rows × cols` topology where every shard serves a full replica
-    /// of `index` — the semantics of the deprecated
-    /// `ShardRouter::new`, kept for migration and equivalence tests.
-    pub fn replicated(index: FrozenIndex, rows: usize, cols: usize) -> Result<Self, ServeError> {
-        #[allow(deprecated)]
-        Ok(ShardRouter::new(index, rows, cols)?.into())
     }
 
     /// Builds a topology from a validated [`TopologySpec`]. Local slots
@@ -805,23 +794,6 @@ impl Topology {
     }
 }
 
-/// Migration shim: a replica router becomes a topology of unclipped
-/// local shards sharing the router's handles, so existing
-/// `ShardRouter`-built deployments behave identically behind the new
-/// API.
-impl From<ShardRouter> for Topology {
-    fn from(router: ShardRouter) -> Self {
-        let (rows, cols) = router.shape();
-        let bounds = *router.bounds();
-        let backends = router
-            .handles()
-            .iter()
-            .map(|h| Box::new(LocalShard::new(h.clone())) as Box<dyn ShardBackend>)
-            .collect();
-        Self::over(bounds, rows, cols, backends)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,7 +877,7 @@ mod tests {
         let topo = Topology::partitioned(full.clone(), 2, 2).unwrap();
         assert_eq!(topo.shards(), 4);
         assert_eq!(topo.shape(), (2, 2));
-        // Same routing semantics as the old router.
+        // Row-major routing over the closed bounds.
         assert_eq!(topo.shard_of(&Point::new(0.25, 0.25)), Some(0));
         assert_eq!(topo.shard_of(&Point::new(0.5, 0.5)), Some(3));
         assert_eq!(topo.shard_of(&Point::new(1.5, 0.5)), None);
@@ -1001,24 +973,6 @@ mod tests {
                 "publish must keep shards partial"
             );
             assert!(served.heap_bytes() < full_heap);
-        }
-    }
-
-    #[test]
-    fn router_migration_shim_preserves_replica_semantics() {
-        #[allow(deprecated)]
-        let router = ShardRouter::new(index(), 2, 2).unwrap();
-        let topo: Topology = router.into();
-        assert_eq!(topo.shards(), 4);
-        // Replica shards are unclipped and answer for the whole map.
-        for b in topo.backends() {
-            let local = b.as_local().unwrap();
-            assert!(local.handle().load().clip_rect().is_none());
-            assert!(local
-                .handle()
-                .load()
-                .lookup(&Point::new(0.95, 0.95))
-                .is_some());
         }
     }
 

@@ -20,9 +20,8 @@
 //! # HEIGHT: tree height (default 6)
 //!
 //! cargo run --release -p fsi --example redistricting_cli -- serve [CSV_PATH] \
-//!     [--cache N] [--topology FILE] [--resilience FILE] [--shard-of IDX] \
+//!     [--topology FILE] [--resilience FILE] [--shard-of IDX] \
 //!     [--listen ADDR] [--metrics] [--auto-rebuild]
-//! # --cache N:        LRU decision-cache capacity (default 4096, 0 disables)
 //! # --topology FILE:  serve a TopologySpec JSON ({"rows":R,"cols":C,"shards":[…]})
 //! #                   as the scatter-gather coordinator; "local" slots are served
 //! #                   in-process, "http://host:port" slots by remote shard servers
@@ -42,7 +41,7 @@
 //! # then on stdin:   X Y                  → one decision per line
 //! #                  batch X1 Y1 X2 Y2 …  → batched decisions
 //! #                  rect X0 Y0 X1 Y1     → neighborhoods touching the box
-//! #                  stats                → per-shard generations / size / cache hit rate
+//! #                  stats                → per-shard generations / size
 //! #                  metrics              → one-line telemetry snapshot
 //! #                  ingest X Y G [L]     → append one observation to the delta buffer
 //! #                  rebuild <spec JSON>  → retrain + hot-swap every shard
@@ -50,8 +49,8 @@
 //! ```
 
 use fsi::{
-    repl, snapshot_for_partition, CacheSpec, FrozenIndex, Method, Partition, Pipeline,
-    QueryService, RemoteShard, Run, RunConfig, TaskSpec, Topology, TopologySpec,
+    repl, snapshot_for_partition, FrozenIndex, Method, Partition, Pipeline, QueryService,
+    RemoteShard, Run, RunConfig, TaskSpec, Topology, TopologySpec,
 };
 use fsi_data::synth::edgap::generate_los_angeles;
 use fsi_data::SpatialDataset;
@@ -137,8 +136,6 @@ fn build(
 
 /// How `serve` deploys the compiled index.
 struct ServeConfig {
-    /// LRU decision-cache capacity (0 disables).
-    cache_capacity: usize,
     /// Coordinator topology spec (`--topology FILE`).
     topology: Option<TopologySpec>,
     /// Resilience policy for replica slots (`--resilience FILE`).
@@ -249,13 +246,6 @@ fn serve(dataset: &SpatialDataset, config: ServeConfig) -> Result<(), Box<dyn st
         (None, None) => Topology::single(IndexHandle::new(index)),
     };
     let mut service = QueryService::new(topology).with_rebuild(Arc::new(dataset.clone()));
-    if config.cache_capacity > 0 {
-        service = service.with_cache(CacheSpec::per_worker(config.cache_capacity))?;
-        println!(
-            "decision cache: per-worker LRU, {} entries (`--cache 0` disables)",
-            config.cache_capacity
-        );
-    }
     let maintenance = if config.auto_rebuild {
         if config.shard_of.is_some() {
             return Err(
@@ -342,11 +332,10 @@ fn serve(dataset: &SpatialDataset, config: ServeConfig) -> Result<(), Box<dyn st
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    // `serve [CSV_PATH] [--cache N] [--topology FILE] [--shard-of IDX]
+    // `serve [CSV_PATH] [--topology FILE] [--shard-of IDX]
     // [--listen ADDR] [--metrics]` switches to online mode.
     if args.first().map(String::as_str) == Some("serve") {
         let mut config = ServeConfig {
-            cache_capacity: 4096,
             topology: None,
             resilience: None,
             shard_of: None,
@@ -358,13 +347,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut rest = args[1..].iter().map(String::as_str);
         while let Some(arg) = rest.next() {
             match arg {
-                "--cache" => {
-                    let n = rest
-                        .next()
-                        .ok_or("--cache requires a capacity (0 disables)")?;
-                    config.cache_capacity =
-                        n.parse().map_err(|_| format!("bad --cache value `{n}`"))?;
-                }
                 "--topology" => {
                     let path = rest.next().ok_or("--topology requires a JSON file path")?;
                     let json = std::fs::read_to_string(path)

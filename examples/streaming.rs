@@ -2,8 +2,7 @@
 //! feed of observed points over HTTP while answering queries, a
 //! background maintenance thread watches the drift the feed induces,
 //! and when the policy trips it retrains on the merged data and
-//! hot-swaps the index — readers never block, and the decision cache
-//! invalidates itself through the generation bump.
+//! hot-swaps the index — readers never block.
 //!
 //! ```sh
 //! cargo run --release -p fsi --example streaming

@@ -135,8 +135,9 @@ fn facade_freeze_and_serve_are_bit_identical_to_compile() {
     }
 }
 
-/// The cells backend (used for non-tree partitions) must agree with the
-/// tree backend wherever both exist.
+/// Compiling a tree and compiling its partition must give the same
+/// index: `FrozenIndex::compile` builds its table from
+/// `KdTree::partition`.
 #[test]
 fn partition_backend_agrees_with_tree_backend() {
     let d = dataset();
@@ -149,8 +150,8 @@ fn partition_backend_agrees_with_tree_backend() {
     let snapshot = run.model_snapshot().unwrap();
     let from_tree = FrozenIndex::compile(run.tree.as_ref().unwrap(), grid, &snapshot).unwrap();
     let from_cells = FrozenIndex::from_partition(run.partition(), grid, &snapshot).unwrap();
-    assert_eq!(from_tree.backend_name(), "tree");
-    assert_eq!(from_cells.backend_name(), "cells");
+    assert_eq!(from_tree.backend_name(), "cells");
+    assert_eq!(from_tree.heap_bytes(), from_cells.heap_bytes());
     for p in query_points(grid, 2000, 11) {
         assert_eq!(from_tree.lookup(&p), from_cells.lookup(&p), "at {p:?}");
     }
@@ -310,8 +311,8 @@ fn background_rebuild_swaps_under_a_live_reader() {
     assert_eq!(serving.handle().generation(), report.generation);
 }
 
-/// Non-tree methods serve through the cells backend end-to-end, and a
-/// live deployment can hot-rebuild across backend kinds.
+/// Non-tree methods serve end-to-end, and a live deployment can
+/// hot-rebuild from a tree method into a non-tree one.
 #[test]
 fn non_tree_methods_serve_and_rebuild() {
     let d = dataset();
@@ -320,7 +321,7 @@ fn non_tree_methods_serve_and_rebuild() {
     assert_eq!(index.backend_name(), "cells");
     assert_eq!(index.num_leaves(), run.partition.num_regions());
     // A tree-compiled deployment can rebuild into a non-tree spec: the
-    // swap changes the backend, never the query surface.
+    // swap changes the partition, never the query surface.
     let serving = Pipeline::on(&d)
         .method(Method::MedianKd)
         .height(2)
@@ -328,10 +329,13 @@ fn non_tree_methods_serve_and_rebuild() {
         .unwrap()
         .serve()
         .unwrap();
-    assert_eq!(serving.handle().load().backend_name(), "tree");
+    assert_eq!(serving.handle().load().num_leaves(), 4);
     let report = serving.rebuild_with(&spec).unwrap();
     assert_eq!(report.generation, 2);
-    assert_eq!(serving.handle().load().backend_name(), "cells");
+    assert_eq!(
+        serving.handle().load().num_leaves(),
+        run.partition.num_regions()
+    );
     assert!(serving
         .reader()
         .snapshot()
