@@ -34,28 +34,6 @@ pub struct KdNode {
     pub kind: NodeKind,
 }
 
-impl KdNode {
-    /// The absolute grid coordinate of this node's cut, for internal
-    /// nodes: `(axis, boundary)` where cells with `row < boundary`
-    /// (respectively `col < boundary`) fall into the low child. Returns
-    /// `None` for leaves.
-    ///
-    /// This resolves the node's region-relative `offset` into the global
-    /// coordinate external consumers (renderers, index compilers) need.
-    pub fn split_boundary(&self) -> Option<(Axis, usize)> {
-        match &self.kind {
-            NodeKind::Leaf { .. } => None,
-            NodeKind::Internal { axis, offset, .. } => {
-                let start = match axis {
-                    Axis::Row => self.region.row_start,
-                    Axis::Col => self.region.col_start,
-                };
-                Some((*axis, start + offset))
-            }
-        }
-    }
-}
-
 /// A KD-tree over the base grid whose leaves are the generated
 /// neighborhoods.
 ///
@@ -199,12 +177,6 @@ impl KdTree {
         Partition::from_rects(grid, &self.leaf_regions()).map_err(CoreError::Geo)
     }
 
-    /// Arena index of the root node. The builders always place the root
-    /// first; child links in [`NodeKind::Internal`] index into
-    /// [`KdTree::nodes`]. External consumers (index compilers, renderers)
-    /// may rely on this layout.
-    pub const ROOT: u32 = 0;
-
     /// Read access to the node arena (for diagnostics and rendering).
     pub fn nodes(&self) -> &[KdNode] {
         &self.nodes
@@ -267,20 +239,6 @@ mod tests {
         assert_eq!(regions[0], CellRect::new(2, 4, 0, 4));
         assert_eq!(regions[1], CellRect::new(0, 2, 0, 1));
         assert_eq!(regions[2], CellRect::new(0, 2, 1, 4));
-    }
-
-    #[test]
-    fn split_boundaries_are_absolute() {
-        let t = sample();
-        // Root cuts rows at absolute 2; its low child cuts cols at 1.
-        assert_eq!(
-            t.node(KdTree::ROOT).unwrap().split_boundary(),
-            Some((Axis::Row, 2))
-        );
-        assert_eq!(t.node(1).unwrap().split_boundary(), Some((Axis::Col, 1)));
-        // Leaves have no cut; out-of-range indices no node.
-        assert_eq!(t.node(2).unwrap().split_boundary(), None);
-        assert!(t.node(5).is_none());
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! [`Pipeline::run`] yields a [`Run`]: its [`Run::eval`] carries the
 //! fairness metrics (ENCE et al.), [`Run::partition`] the generated
 //! neighborhoods, [`Run::freeze`] compiles the immutable serving index,
-//! [`Run::serve`] wires it into a lock-free [`IndexHandle`] with a
-//! [`Rebuilder`], and [`Run::save_report`] persists the whole cell as
-//! one JSON value. [`MultiPipeline`] is the multi-objective counterpart
+//! [`Run::serve`] wires it into a lock-free [`IndexHandle`] that
+//! [`Serving::rebuild`] republishes into, and [`Run::save_report`]
+//! persists the whole cell as one JSON value. [`MultiPipeline`] is the multi-objective counterpart
 //! (one districting, several tasks). Everything returns the single
 //! [`FsiError`] type.
 //!
@@ -78,6 +78,6 @@ pub use fsi_resil::{
 pub use fsi_serve::{
     prometheus_text, BackendSpec, Decision, FrozenIndex, IndexHandle, IndexReader, IngestError,
     LocalShard, MaintenanceHandle, MaintenanceSpec, MaintenanceTrigger, QueryService,
-    RebuildReport, Rebuilder, ShardBackend, ShardDescriptor, SlotConnector, SlowQueryRecord,
-    SlowQuerySink, Topology, TopologySpec, TransportStats,
+    RebuildReport, ShardBackend, ShardDescriptor, SlotConnector, SlowQueryRecord, SlowQuerySink,
+    Topology, TopologySpec, TransportStats,
 };

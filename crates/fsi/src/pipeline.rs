@@ -13,9 +13,10 @@ use fsi_pipeline::{
     run_spec, EvalReport, Method, MethodRun, ModelKind, ModelSnapshot, PipelineSpec, RunConfig,
     TaskSpec,
 };
+use fsi_proto::{ErrorCode, Request, Response};
 use fsi_serve::{
     compile_run, FrozenIndex, IndexHandle, IndexReader, MaintenanceHandle, MaintenanceSpec,
-    QueryService, RebuildReport, Rebuilder, Topology, TopologySpec,
+    QueryService, RebuildReport, ServeError, Topology, TopologySpec,
 };
 use serde::{Deserialize, Serialize};
 use std::net::ToSocketAddrs;
@@ -173,8 +174,9 @@ impl<'d> Pipeline<'d> {
 /// reachable. On top of that it carries the spec it was built from and
 /// the downstream transitions: [`Run::freeze`] compiles the run into an
 /// immutable [`FrozenIndex`], [`Run::serve`] additionally wires it into
-/// a hot-swappable [`IndexHandle`] with a [`Rebuilder`], and
-/// [`Run::save_report`] persists the whole cell as one JSON value.
+/// a hot-swappable [`IndexHandle`] that [`Serving::rebuild`] republishes
+/// into, and [`Run::save_report`] persists the whole cell as one JSON
+/// value.
 #[derive(Debug, Clone)]
 pub struct Run<'d> {
     dataset: &'d SpatialDataset,
@@ -253,16 +255,13 @@ impl<'d> Run<'d> {
     }
 
     /// Freezes the run and wires it for online serving: a hot-swappable
-    /// [`IndexHandle`] plus a [`Rebuilder`] publishing into it.
+    /// [`IndexHandle`] that [`Serving::rebuild`] republishes into.
     pub fn serve(&self) -> Result<Serving<'d>, FsiError> {
-        let handle = IndexHandle::new(self.freeze()?);
-        let rebuilder = Rebuilder::new(handle.clone());
         Ok(Serving {
             dataset: self.dataset,
             shared_dataset: std::sync::OnceLock::new(),
             spec: self.spec.clone(),
-            handle,
-            rebuilder,
+            handle: IndexHandle::new(self.freeze()?),
             ingest_policy: None,
         })
     }
@@ -313,7 +312,7 @@ impl<'d> Run<'d> {
 }
 
 /// A live serving deployment produced by [`Run::serve`]: the handle
-/// readers query, and the rebuilder that retrains and hot-swaps.
+/// readers query, plus the services and rebuilds built over it.
 pub struct Serving<'d> {
     dataset: &'d SpatialDataset,
     /// Lazily materialized shared copy of `dataset` handed to
@@ -322,7 +321,6 @@ pub struct Serving<'d> {
     shared_dataset: std::sync::OnceLock<Arc<SpatialDataset>>,
     spec: PipelineSpec,
     handle: IndexHandle,
-    rebuilder: Rebuilder,
     /// Maintenance policy enabling streaming ingestion on every
     /// coordinator service this deployment builds; `None` serves
     /// read-only. Always validated before it lands here
@@ -342,44 +340,37 @@ impl Serving<'_> {
         self.handle.reader()
     }
 
-    /// The rebuilder wired into [`Serving::handle`].
-    pub fn rebuilder(&self) -> &Rebuilder {
-        &self.rebuilder
-    }
-
     /// The spec rebuilds re-execute by default.
     pub fn spec(&self) -> &PipelineSpec {
         &self.spec
     }
 
     /// Retrains with the original spec on the original dataset and
-    /// hot-swaps the result in. Readers never block.
-    ///
-    /// With the original (immutable) dataset this reproduces the served
-    /// index bit-identically; the interesting rebuilds pass fresh data
-    /// via [`Serving::rebuild_on`] or a new spec via
-    /// [`Serving::rebuild_with`].
+    /// hot-swaps the result in. Readers never block. With the original
+    /// (immutable) dataset this reproduces the served index
+    /// bit-identically; fresh data reaches a deployment through
+    /// [`Run::serve_with_ingest`].
     pub fn rebuild(&self) -> Result<RebuildReport, FsiError> {
-        self.rebuilder
-            .rebuild(self.dataset, &self.spec)
-            .map_err(FsiError::from)
-    }
-
-    /// Retrains the original spec on *fresh* data (the data-drift path)
-    /// and hot-swaps the result in. The dataset must share the grid the
-    /// deployment was built over.
-    pub fn rebuild_on(&self, dataset: &SpatialDataset) -> Result<RebuildReport, FsiError> {
-        self.rebuilder
-            .rebuild(dataset, &self.spec)
-            .map_err(FsiError::from)
+        self.rebuild_with(&self.spec)
     }
 
     /// Retrains with a different spec (e.g. a new height after data
-    /// drift) and hot-swaps the result in.
+    /// drift) and hot-swaps the result in: a `Rebuild` dispatched on a
+    /// non-ingesting service over [`Serving::handle`], so it runs the
+    /// same two-phase barrier as every other republish.
     pub fn rebuild_with(&self, spec: &PipelineSpec) -> Result<RebuildReport, FsiError> {
-        self.rebuilder
-            .rebuild(self.dataset, spec)
-            .map_err(FsiError::from)
+        let mut service = QueryService::new(Topology::single(self.handle.clone()))
+            .with_rebuild(self.shared_dataset());
+        match service.dispatch(&Request::Rebuild { spec: spec.clone() }) {
+            Response::Rebuilt { report } => Ok(*report),
+            Response::Error { error } if error.code == ErrorCode::InvalidSpec => {
+                Err(FsiError::InvalidSpec(error.message))
+            }
+            Response::Error { error } => Err(ServeError::Maintenance(error.message).into()),
+            other => {
+                Err(ServeError::Maintenance(format!("unexpected rebuild answer: {other:?}")).into())
+            }
+        }
     }
 
     /// A [`QueryService`] over this deployment's live handle: the typed
@@ -447,9 +438,8 @@ impl Serving<'_> {
     /// eagerly with the keep-alive [`crate::http::RemoteShard`] client.
     /// The shards are detached from [`Serving::handle`] — a deployment
     /// that shards its serving plane rebuilds *through the service*
-    /// (one-box `Rebuild`, or the two-phase `RebuildPrepare` /
-    /// `RebuildCommit` pair over remote fleets), not through
-    /// [`Serving::rebuild`].
+    /// (`Rebuild`, which runs the two-phase barrier over every slot),
+    /// not through [`Serving::rebuild`].
     pub fn service_over(&self, spec: &TopologySpec) -> Result<QueryService, FsiError> {
         let index = self.handle.load().as_ref().clone();
         let topology = Topology::from_spec(spec, index, crate::http::RemoteShard::connector())
@@ -622,28 +612,6 @@ mod tests {
             .snapshot()
             .lookup(&Point::new(0.5, 0.5))
             .is_some());
-    }
-
-    #[test]
-    fn rebuild_on_fresh_data_changes_the_served_scores() {
-        let d = dataset();
-        let serving = Pipeline::on(&d).height(3).run().unwrap().serve().unwrap();
-        let p = Point::new(0.5, 0.5);
-        let before = serving.handle().load().lookup(&p).unwrap();
-        // Fresh data over the same grid shape: a different city draw.
-        let drifted = CityGenerator::new(CityConfig {
-            n_individuals: 250,
-            grid_side: 16,
-            seed: 12,
-            ..CityConfig::default()
-        })
-        .unwrap()
-        .generate()
-        .unwrap();
-        let report = serving.rebuild_on(&drifted).unwrap();
-        assert_eq!(report.generation, 2);
-        let after = serving.handle().load().lookup(&p).unwrap();
-        assert_ne!(before.raw_score, after.raw_score);
     }
 
     /// The sharded serving plane answers every query exactly like the

@@ -3,7 +3,7 @@
 use crate::policy::{splitmix64, unit_f64};
 use fsi_obs::Counter;
 use fsi_proto::{ErrorCode, Request, Response, ShardHealthBody};
-use fsi_serve::{LocalShard, ShardBackend, ShardDescriptor, TransportStats};
+use fsi_serve::{FrozenIndex, LocalShard, ShardBackend, ShardDescriptor, TransportStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -105,10 +105,10 @@ impl ChaosShard {
         self.injected.inc();
         Response::error(ErrorCode::Internal, format!("chaos: {detail}"))
     }
-}
 
-impl ShardBackend for ChaosShard {
-    fn dispatch(&self, request: &Request) -> Response {
+    /// Runs the fault schedule for one call: the injected fault, or
+    /// `forward` after the configured delay.
+    fn faulted(&self, forward: impl FnOnce(&dyn ShardBackend) -> Response) -> Response {
         let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
         if self.down.load(Ordering::Acquire) {
             return self.inject("replica is down");
@@ -129,7 +129,18 @@ impl ShardBackend for ChaosShard {
         if let Some(delay) = self.delay {
             std::thread::sleep(delay);
         }
-        self.inner.dispatch(request)
+        forward(self.inner.as_ref())
+    }
+}
+
+impl ShardBackend for ChaosShard {
+    fn dispatch(&self, request: &Request) -> Response {
+        self.faulted(|inner| inner.dispatch(request))
+    }
+
+    /// Prepares pass the same fault schedule as every other call.
+    fn prepare(&self, index: &FrozenIndex, request: &Request) -> Response {
+        self.faulted(|inner| inner.prepare(index, request))
     }
 
     fn descriptor(&self) -> ShardDescriptor {

@@ -6,7 +6,7 @@ use crate::error::ResilError;
 use crate::policy::ResiliencePolicy;
 use fsi_obs::{Counter, Histogram};
 use fsi_proto::{ErrorCode, ReplicaHealthBody, Request, Response, ShardHealthBody};
-use fsi_serve::{LocalShard, ShardBackend, ShardDescriptor, TransportStats};
+use fsi_serve::{FrozenIndex, LocalShard, ShardBackend, ShardDescriptor, TransportStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -55,11 +55,17 @@ impl ReplicaSlot {
     /// healthy answer.
     #[inline]
     fn dispatch_recorded(&self, request: &Request) -> (Response, bool) {
+        self.call_recorded(|backend| backend.dispatch(request))
+    }
+
+    /// [`Self::dispatch_recorded`] for any call on the member backend.
+    #[inline]
+    fn call_recorded(&self, call: impl FnOnce(&dyn ShardBackend) -> Response) -> (Response, bool) {
         let tick = self.attempts.load(Ordering::Relaxed);
         self.attempts.store(tick + 1, Ordering::Relaxed);
         let sampled = tick.is_multiple_of(LATENCY_SAMPLE_EVERY);
         let start = sampled.then(Instant::now);
-        let response = self.backend.dispatch(request);
+        let response = call(self.backend.as_ref());
         if let Some(start) = start {
             self.latency
                 .record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -422,14 +428,14 @@ impl ReplicaSet {
         });
     }
 
-    /// The all-must-succeed broadcast for non-idempotent requests:
-    /// every replica applies the write / barrier message; the first
-    /// transport failure is returned verbatim so the coordinator's
-    /// two-phase barrier aborts exactly as with a plain dead shard.
-    fn dispatch_broadcast(&self, request: &Request) -> Response {
+    /// The all-must-succeed broadcast for non-idempotent calls: every
+    /// replica applies the write / barrier message; the first transport
+    /// failure is returned verbatim so the coordinator's two-phase
+    /// barrier aborts exactly as with a plain dead shard.
+    fn broadcast(&self, call: impl Fn(&dyn ShardBackend) -> Response) -> Response {
         let mut first: Option<Response> = None;
         for slot in self.slots.iter() {
-            let (response, failed) = slot.dispatch_recorded(request);
+            let (response, failed) = slot.call_recorded(&call);
             if failed {
                 return response;
             }
@@ -475,8 +481,15 @@ impl ShardBackend for ReplicaSet {
         if is_idempotent(request) {
             self.dispatch_resilient(request)
         } else {
-            self.dispatch_broadcast(request)
+            self.broadcast(|backend| backend.dispatch(request))
         }
+    }
+
+    /// Every member stages: in-process members the coordinator's
+    /// `index`, remote ones by retraining on `request`. All must
+    /// succeed, so members stay in generation lockstep.
+    fn prepare(&self, index: &FrozenIndex, request: &Request) -> Response {
+        self.broadcast(|backend| backend.prepare(index, request))
     }
 
     fn descriptor(&self) -> ShardDescriptor {

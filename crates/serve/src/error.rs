@@ -58,7 +58,7 @@ pub enum ServeError {
     /// A maintenance pass was requested on a service built without
     /// streaming ingestion.
     IngestUnavailable,
-    /// A drift-triggered maintenance pass failed to publish.
+    /// A rebuild or drift-triggered maintenance pass failed to publish.
     Maintenance(String),
     /// The underlying pipeline run failed.
     Pipeline(PipelineError),
@@ -99,7 +99,7 @@ impl fmt::Display for ServeError {
                  construct it with a training dataset and `with_ingest`"
             ),
             ServeError::Maintenance(msg) => {
-                write!(f, "maintenance rebuild failed: {msg}")
+                write!(f, "rebuild failed: {msg}")
             }
             ServeError::Pipeline(e) => write!(f, "pipeline error: {e}"),
         }

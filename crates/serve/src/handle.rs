@@ -12,7 +12,7 @@
 //!   changed (i.e. once per rebuild, not per query) does the reader touch
 //!   the publish mutex to fetch the new `Arc`.
 //! * **Writers** ([`IndexHandle::publish`]) build the replacement index
-//!   *off to the side* (see [`crate::Rebuilder`]), then swap the `Arc` and
+//!   *off to the side* (see [`crate::build_index`]), then swap the `Arc` and
 //!   bump the generation under a mutex held for two pointer writes.
 //!
 //! Because a snapshot is a whole immutable `FrozenIndex` behind an `Arc`,

@@ -29,8 +29,9 @@
 //! * [`IndexHandle`] / [`IndexReader`] — lock-free reads with atomic
 //!   snapshot hot-swap (std-only `Arc` + atomics), so a rebuild never
 //!   blocks a query.
-//! * [`Rebuilder`] — re-runs the `fsi-pipeline` trainer (optionally on a
-//!   background thread) and publishes the freshly compiled index.
+//! * [`build_index`] — runs the `fsi-pipeline` trainer for a spec and
+//!   compiles the result; a `Rebuild` request retrains with it and
+//!   republishes every shard through the two-phase barrier.
 //! * [`MaintenanceHandle`] — background drift-triggered maintenance for
 //!   services built `with_ingest`: polls the delta buffer against a
 //!   [`MaintenanceSpec`], and when drift, occupancy or staleness trips,
@@ -80,7 +81,7 @@ pub use frozen::{Decision, FrozenIndex};
 pub use handle::{IndexHandle, IndexReader};
 pub use maintain::MaintenanceHandle;
 pub use obs::{prometheus_text, SlowQueryRecord, SlowQuerySink};
-pub use rebuild::{build_index, compile_run, RebuildReport, Rebuilder};
+pub use rebuild::{build_index, compile_run, RebuildReport};
 pub use service::QueryService;
 pub use topology::{
     BackendSpec, LocalShard, ShardBackend, ShardDescriptor, SlotConnector, Topology, TopologySpec,

@@ -1,13 +1,12 @@
-//! Background rebuilds: re-run the training pipeline and hot-swap the
-//! result into a live [`IndexHandle`] without pausing readers.
+//! Building served indexes: run the training pipeline for a
+//! [`PipelineSpec`] and compile the result. A live deployment
+//! republishes through [`crate::QueryService`]'s two-phase barrier
+//! (`Rebuild`), which trains with [`build_index`].
 
 use crate::error::ServeError;
 use crate::frozen::FrozenIndex;
-use crate::handle::IndexHandle;
 use fsi_data::SpatialDataset;
 use fsi_pipeline::{run_spec, MethodRun, ModelSnapshot, PipelineSpec};
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Builds a [`FrozenIndex`] from scratch for one [`PipelineSpec`]: runs
 /// the full training pipeline, extracts the model snapshot, and compiles
@@ -40,71 +39,15 @@ pub fn compile_run(run: &MethodRun, dataset: &SpatialDataset) -> Result<FrozenIn
 /// share one serializable representation.
 pub use fsi_proto::RebuildReport;
 
-/// Rebuilds indexes against a live [`IndexHandle`].
-///
-/// A rebuild runs the whole `fsi-pipeline` trainer — seconds of work —
-/// while readers keep serving the old snapshot; the swap at the end is
-/// two pointer writes. Clone the rebuilder (or use
-/// [`Rebuilder::spawn_rebuild`]) to run it from a background thread.
-#[derive(Clone)]
-pub struct Rebuilder {
-    handle: IndexHandle,
-}
-
-impl Rebuilder {
-    /// Creates a rebuilder publishing into `handle`.
-    pub fn new(handle: IndexHandle) -> Self {
-        Self { handle }
-    }
-
-    /// The handle this rebuilder publishes into.
-    pub fn handle(&self) -> &IndexHandle {
-        &self.handle
-    }
-
-    /// Trains, compiles and publishes a new index, returning what
-    /// happened. Readers never block; they observe the new snapshot on
-    /// their next [`crate::IndexReader::snapshot`] call.
-    pub fn rebuild(
-        &self,
-        dataset: &SpatialDataset,
-        spec: &PipelineSpec,
-    ) -> Result<RebuildReport, ServeError> {
-        let started = Instant::now();
-        let (index, run) = build_index(dataset, spec)?;
-        let num_leaves = index.num_leaves();
-        // publish() returns the generation computed under its lock, so
-        // concurrent rebuilds each report their own publish correctly.
-        let (generation, _old) = self.handle.publish(index);
-        Ok(RebuildReport {
-            spec: spec.clone(),
-            generation,
-            num_leaves,
-            ence: run.eval.full.ence,
-            build_time: run.build_time,
-            total_time: started.elapsed(),
-        })
-    }
-
-    /// Runs [`Rebuilder::rebuild`] on a background `std::thread`,
-    /// returning its join handle. The dataset is moved into the thread;
-    /// clone it at the call site if you still need it.
-    pub fn spawn_rebuild(
-        &self,
-        dataset: SpatialDataset,
-        spec: PipelineSpec,
-    ) -> JoinHandle<Result<RebuildReport, ServeError>> {
-        let rebuilder = self.clone();
-        std::thread::spawn(move || rebuilder.rebuild(&dataset, &spec))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IndexHandle, QueryService, Topology};
     use fsi_data::synth::city::{CityConfig, CityGenerator};
     use fsi_geo::Point;
     use fsi_pipeline::{Method, TaskSpec};
+    use fsi_proto::{Request, Response};
+    use std::sync::Arc;
 
     fn small_dataset() -> SpatialDataset {
         CityGenerator::new(CityConfig {
@@ -157,6 +100,18 @@ mod tests {
         }
     }
 
+    /// A single-slot service over `handle` that rebuilds on `d`.
+    fn service(handle: &IndexHandle, d: SpatialDataset) -> QueryService {
+        QueryService::new(Topology::single(handle.clone())).with_rebuild(Arc::new(d))
+    }
+
+    fn rebuilt(response: Response) -> RebuildReport {
+        match response {
+            Response::Rebuilt { report } => *report,
+            other => panic!("expected a rebuild report, got {other:?}"),
+        }
+    }
+
     #[test]
     fn rebuild_publishes_a_new_generation() {
         let d = small_dataset();
@@ -165,9 +120,9 @@ mod tests {
         let mut reader = handle.reader();
         assert_eq!(reader.snapshot().num_leaves(), 4);
 
-        let rebuilder = Rebuilder::new(handle.clone());
         let fair = spec(Method::FairKd, 4);
-        let report = rebuilder.rebuild(&d, &fair).unwrap();
+        let report =
+            rebuilt(service(&handle, d).dispatch(&Request::Rebuild { spec: fair.clone() }));
         assert_eq!(report.generation, 2);
         assert_eq!(report.num_leaves, 16);
         assert_eq!(report.spec, fair);
@@ -182,9 +137,12 @@ mod tests {
         let d = small_dataset();
         let (initial, _) = build_index(&d, &spec(Method::MedianKd, 2)).unwrap();
         let handle = IndexHandle::new(initial);
-        let rebuilder = Rebuilder::new(handle.clone());
-        let join = rebuilder.spawn_rebuild(d, spec(Method::MedianKd, 3));
-        let report = join.join().expect("rebuild thread panicked").unwrap();
+        let mut service = service(&handle, d);
+        let request = Request::Rebuild {
+            spec: spec(Method::MedianKd, 3),
+        };
+        let join = std::thread::spawn(move || service.dispatch(&request));
+        let report = rebuilt(join.join().expect("rebuild thread panicked"));
         assert_eq!(report.generation, 2);
         assert_eq!(handle.load().num_leaves(), report.num_leaves);
     }

@@ -35,13 +35,14 @@ use fsi_ingest::{
     baseline_stats, merge_dataset, DeltaBuffer, DriftDetector, IngestError, IngestRecord,
     MaintenanceSpec,
 };
-use fsi_obs::{Recorder, Registry};
-use fsi_pipeline::{MethodRun, PipelineSpec, TaskSpec};
+use fsi_obs::{Histogram, Recorder, Registry};
+use fsi_pipeline::{MethodRun, PipelineError, PipelineSpec, TaskSpec};
 use fsi_proto::{
     DecisionBody, ErrorCode, ErrorCountBody, HealthBody, IngestBody, MetricsBody, PreparedBody,
     RebuildObsBody, Request, RequestKindMetrics, Response, ShardHealthBody, ShardObsBody,
     ShardStatsBody, StatsBody, WirePoint,
 };
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -104,8 +105,6 @@ struct IngestState {
     /// Bit pattern of the last measured drift score, refreshed by
     /// maintenance polls and metrics scrapes.
     drift_bits: AtomicU64,
-    /// Serializes maintenance/rebuild passes across service clones.
-    maintenance: Mutex<()>,
 }
 
 impl IngestState {
@@ -115,6 +114,16 @@ impl IngestState {
 
     fn store_drift(&self, score: f64) {
         self.drift_bits.store(score.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Moves the buffered records onto the end of the cumulative log.
+    /// Returns the whole log and how many records the drain appended.
+    fn drain_into_log(&self) -> (Vec<IngestRecord>, usize) {
+        let drained = self.buffer.drain();
+        let drained_len = drained.len();
+        let mut log = self.log.lock().expect("ingest log lock poisoned");
+        log.extend(drained);
+        (log.clone(), drained_len)
     }
 
     /// Undoes a failed maintenance pass: the `drained_len` records most
@@ -148,12 +157,12 @@ enum ShardSlot {
     Remote { transport: bool },
 }
 
-/// Which rebuild histogram a shard-phase duration lands in.
-#[derive(Clone, Copy)]
-enum RebuildPhase {
-    Prepare,
-    Commit,
-    Abort,
+/// An index trained for a republish, with the dataset it was trained
+/// on: the seed itself, or the seed merged with an ingest log.
+struct Trained<'a> {
+    index: FrozenIndex,
+    run: MethodRun,
+    dataset: Cow<'a, SpatialDataset>,
 }
 
 /// The out-of-bounds error a batch lookup answers, naming the offending
@@ -169,27 +178,18 @@ fn batch_oob(index: usize, wp: &WirePoint) -> Response {
     )
 }
 
-/// One backend round-trip with its wall-clock duration in nanoseconds.
-fn timed_dispatch(backend: &dyn ShardBackend, request: &Request) -> (Response, u64) {
-    let started = Instant::now();
-    let response = backend.dispatch(request);
-    (response, saturating_nanos(started.elapsed()))
-}
-
-/// Best-effort abort fan-out: drops staged rebuild state on every shard
-/// of the topology — locals directly, remotes via
-/// [`Request::RebuildAbort`]. Abort is idempotent and an unreachable
-/// remote is skipped (it has nothing durable to publish anyway), so a
-/// coordinator can always call this after a partial prepare failure
-/// without leaving a stale staged index behind a live shard.
-fn abort_all(topology: &Topology) {
-    for backend in topology.backends() {
-        match backend.as_local() {
-            Some(local) => local.abort(),
-            None => {
-                let _ = backend.dispatch(&Request::RebuildAbort);
-            }
-        }
+/// The one mapping from a slot's failed barrier phase to the barrier's
+/// answer: the slot's own error code, prefixed with the slot index.
+fn slot_failure(shard: usize, phase: &str, answer: Response) -> Response {
+    match answer {
+        Response::Error { error } => Response::error(
+            error.code,
+            format!("shard {shard} failed to {phase}: {}", error.message),
+        ),
+        _ => Response::error(
+            ErrorCode::Internal,
+            format!("shard {shard} answered an unexpected {phase} response"),
+        ),
     }
 }
 
@@ -264,7 +264,6 @@ impl QueryService {
             baseline: Mutex::new(baseline),
             pending: Mutex::new(None),
             drift_bits: AtomicU64::new(0),
-            maintenance: Mutex::new(()),
         }));
         Ok(self)
     }
@@ -379,7 +378,9 @@ impl QueryService {
             Request::IngestBatch { points } => self.ingest_batch(points),
             Request::Stats => self.stats(),
             Request::Rebuild { spec } => self.rebuild(spec),
-            Request::RebuildPrepare { spec, delta } => self.rebuild_prepare(spec, delta.as_deref()),
+            Request::RebuildPrepare { spec, delta } => {
+                self.rebuild_prepare(request, spec, delta.as_deref())
+            }
             Request::RebuildCommit => self.rebuild_commit(),
             Request::RebuildAbort => self.rebuild_abort(),
             Request::Metrics => self.metrics(),
@@ -499,8 +500,9 @@ impl QueryService {
         if self.obs.is_none() {
             return backend.dispatch(request);
         }
-        let (response, nanos) = timed_dispatch(backend.as_ref(), request);
-        self.account(shard, response, nanos)
+        let started = Instant::now();
+        let response = backend.dispatch(request);
+        self.account(shard, response, saturating_nanos(started.elapsed()))
     }
 
     /// Records one forwarded round-trip in the per-shard telemetry and
@@ -533,9 +535,11 @@ impl QueryService {
         }
     }
 
-    /// Forwards each `(shard, request)` job to its remote slot and
-    /// returns the answers paired with their slot index, in job order,
-    /// with exactly the telemetry of [`Self::remote_dispatch`].
+    /// Runs `call` for each `(shard, job)` against its slot's backend
+    /// and returns the answers paired with their slot index, in job
+    /// order. Each answer passes through `record` with the call's
+    /// wall-clock nanoseconds (0 when metrics are off) on the calling
+    /// worker.
     ///
     /// Threads are spawned only where there is I/O to overlap. Jobs on
     /// in-process slots answer inline on the calling worker: their work
@@ -544,7 +548,12 @@ impl QueryService {
     /// their round-trips: each but the last runs on a scoped thread and
     /// the caller runs the last one itself, so `k` transport-backed
     /// jobs cost `k − 1` spawns.
-    fn fanout(&self, jobs: &[(usize, Request)]) -> Vec<(usize, Response)> {
+    fn fanout<J: Sync>(
+        &self,
+        jobs: &[(usize, J)],
+        call: impl Fn(&dyn ShardBackend, &J) -> Response + Sync,
+        record: impl Fn(usize, Response, u64) -> Response,
+    ) -> Vec<(usize, Response)> {
         let mut spawn: Vec<bool> = jobs
             .iter()
             .map(|(shard, _)| matches!(self.slots[*shard], ShardSlot::Remote { transport: true }))
@@ -553,33 +562,53 @@ impl QueryService {
             spawn[last] = false;
         }
         let backends = self.topology.backends();
+        let timed = self.obs.is_some();
+        let run = |shard: usize, job: &J| {
+            let started = timed.then(Instant::now);
+            let response = call(backends[shard].as_ref(), job);
+            (
+                response,
+                started.map_or(0, |s| saturating_nanos(s.elapsed())),
+            )
+        };
+        let run = &run;
         std::thread::scope(|scope| {
             let workers: Vec<_> = jobs
                 .iter()
                 .zip(&spawn)
                 .enumerate()
                 .filter(|(_, (_, &spawn))| spawn)
-                .map(|(k, ((shard, request), _))| {
-                    let backend = backends[*shard].as_ref();
-                    (k, scope.spawn(move || timed_dispatch(backend, request)))
-                })
+                .map(|(k, ((shard, job), _))| (k, scope.spawn(move || run(*shard, job))))
                 .collect();
             let mut answers: Vec<Option<Response>> = jobs
                 .iter()
                 .zip(&spawn)
-                .map(|((shard, request), &spawn)| {
-                    (!spawn).then(|| self.remote_dispatch(*shard, request))
+                .map(|((shard, job), &spawn)| {
+                    (!spawn).then(|| {
+                        let (response, nanos) = run(*shard, job);
+                        record(*shard, response, nanos)
+                    })
                 })
                 .collect();
             for (k, worker) in workers {
                 let (response, nanos) = worker.join().expect("fan-out worker panicked");
-                answers[k] = Some(self.account(jobs[k].0, response, nanos));
+                answers[k] = Some(record(jobs[k].0, response, nanos));
             }
             jobs.iter()
                 .zip(answers)
                 .map(|((shard, _), answer)| (*shard, answer.expect("every fan-out job answered")))
                 .collect()
         })
+    }
+
+    /// [`Self::fanout`] of protocol requests to their remote slots, with
+    /// exactly the telemetry of [`Self::remote_dispatch`].
+    fn forward_all(&self, jobs: &[(usize, Request)]) -> Vec<(usize, Response)> {
+        self.fanout(
+            jobs,
+            |backend, request| backend.dispatch(request),
+            |shard, response, nanos| self.account(shard, response, nanos),
+        )
     }
 
     #[inline]
@@ -692,7 +721,7 @@ impl QueryService {
                 (shard, Request::LookupBatch { points: sub })
             })
             .collect();
-        for (shard, response) in self.fanout(&jobs) {
+        for (shard, response) in self.forward_all(&jobs) {
             let bucket = &buckets[shard];
             match response {
                 Response::Decisions { decisions } if decisions.len() == bucket.len() => {
@@ -844,7 +873,7 @@ impl QueryService {
                 jobs.push((shard, Request::RangeQuery { rect: *rect }));
             }
         }
-        for (shard, response) in self.fanout(&jobs) {
+        for (shard, response) in self.forward_all(&jobs) {
             match response {
                 Response::Regions { ids: shard_ids } => ids.extend(shard_ids),
                 Response::Error { error } => return Response::Error { error },
@@ -884,7 +913,7 @@ impl QueryService {
                 jobs.push((shard, Request::Stats));
             }
         }
-        for (shard, response) in self.fanout(&jobs) {
+        for (shard, response) in self.forward_all(&jobs) {
             let d = self.topology.backends()[shard].descriptor();
             per_shard[shard] = Some(match response {
                 Response::Stats { stats } => ShardStatsBody {
@@ -994,7 +1023,7 @@ impl QueryService {
                 .filter(|&shard| matches!(self.slots[shard], ShardSlot::Remote { .. }))
                 .map(|shard| (shard, Request::Metrics))
                 .collect();
-            for (shard, response) in self.fanout(&jobs) {
+            for (shard, response) in self.forward_all(&jobs) {
                 if let Response::Metrics { metrics } = response {
                     body.shards[shard].remote = Some(metrics);
                 }
@@ -1101,136 +1130,84 @@ impl QueryService {
         }
     }
 
-    /// Retrains on the rebuild dataset, mapping failures to structured
+    /// Trains `spec` on the rebuild dataset merged with `log`, in log
+    /// order (an empty log trains on the seed itself). Labels are read
+    /// under `spec.task`, exactly as every shard that receives the same
+    /// log as a prepare's `delta` reads them, so the fleet stays
+    /// bit-identical. The one mapping from training failures to
     /// protocol errors.
-    fn build_from_spec(&self, spec: &PipelineSpec) -> Result<(FrozenIndex, MethodRun), Response> {
-        let Some(dataset) = self.rebuild_dataset.clone() else {
+    fn train(&self, spec: &PipelineSpec, log: &[IngestRecord]) -> Result<Trained<'_>, Response> {
+        let Some(seed) = self.rebuild_dataset.as_deref() else {
             return Err(Response::error(
                 ErrorCode::RebuildUnavailable,
                 "this service was built without a training dataset; rebuilds are disabled",
             ));
         };
+        let dataset = if log.is_empty() {
+            Cow::Borrowed(seed)
+        } else {
+            Cow::Owned(merge_dataset(seed, &spec.task, log).map_err(|e| {
+                Response::error(ErrorCode::Internal, format!("delta merge failed: {e}"))
+            })?)
+        };
         match build_index(&dataset, spec) {
-            Ok(built) => Ok(built),
-            Err(crate::ServeError::Pipeline(fsi_pipeline::PipelineError::InvalidConfig(msg))) => {
+            Ok((index, run)) => Ok(Trained {
+                index,
+                run,
+                dataset,
+            }),
+            Err(ServeError::Pipeline(PipelineError::InvalidConfig(msg))) => {
                 Err(Response::error(ErrorCode::InvalidSpec, msg))
             }
             Err(e) => Err(Response::error(ErrorCode::Internal, e.to_string())),
         }
     }
 
-    /// The two-phase publish barrier behind `Rebuild`: stage the global
-    /// `index` on every local shard and fan `RebuildPrepare` out to
-    /// every remote shard (in parallel — remote prepares retrain and
-    /// pay real wall-clock); only when *every* shard holds a staged
-    /// index are the commits issued. Any prepare failure aborts all
-    /// staged state and leaves the old generation serving everywhere.
-    /// A maintenance pass threads the full ingest log through `delta`
-    /// so every remote shard retrains on the identical merged dataset;
-    /// plain rebuilds pass `None`.
-    fn publish_two_phase(
+    /// Phase one on every slot, through [`Self::fanout`]: in-process
+    /// backends stage `index`, and the rest receive `request` (a
+    /// [`Request::RebuildPrepare`]) and retrain on their own data, on
+    /// overlapping threads when a transport sits underneath. Any failure
+    /// aborts every slot. Returns each slot's staged report.
+    fn prepare_all(
         &self,
         index: &FrozenIndex,
-        spec: &PipelineSpec,
-        delta: Option<&[IngestBody]>,
-    ) -> Result<u64, Response> {
-        let backends = self.topology.backends();
-        for (i, b) in backends.iter().enumerate() {
-            if let Some(local) = b.as_local() {
-                let started = Instant::now();
-                let staged = local.stage(index);
-                self.record_rebuild_phase(RebuildPhase::Prepare, started);
-                if let Err(e) = staged {
-                    self.abort_all_timed();
-                    return Err(Response::error(
-                        ErrorCode::Internal,
-                        format!("shard {i} failed to stage: {e}"),
-                    ));
+        request: &Request,
+    ) -> Result<Vec<PreparedBody>, Response> {
+        let jobs: Vec<(usize, ())> = (0..self.slots.len()).map(|shard| (shard, ())).collect();
+        let answers = self.fanout(
+            &jobs,
+            |backend, ()| backend.prepare(index, request),
+            |_, answer, nanos| {
+                self.record_phase(|m| &m.rebuild_prepare, nanos);
+                answer
+            },
+        );
+        let mut staged = Vec::with_capacity(answers.len());
+        for (shard, answer) in answers {
+            match answer {
+                Response::Prepared { prepared } => staged.push(*prepared),
+                other => {
+                    self.abort_all();
+                    return Err(slot_failure(shard, "prepare", other));
                 }
             }
         }
-        let remotes: Vec<usize> = backends
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.as_local().is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let prepares: Vec<(usize, Response, Duration)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = remotes
-                .iter()
-                .map(|&i| {
-                    let backend = &backends[i];
-                    let spec = spec.clone();
-                    let delta = delta.map(<[IngestBody]>::to_vec);
-                    scope.spawn(move || {
-                        let started = Instant::now();
-                        let response = backend.dispatch(&Request::RebuildPrepare { spec, delta });
-                        (i, response, started.elapsed())
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("prepare worker panicked"))
-                .collect()
-        });
-        for (i, response, elapsed) in prepares {
-            if let Some(obs) = &self.obs {
-                obs.rebuild_prepare.record(saturating_nanos(elapsed));
-            }
-            match response {
-                Response::Prepared { .. } => {}
-                Response::Error { error } => {
-                    self.abort_all_timed();
-                    return Err(Response::error(
-                        error.code,
-                        format!("shard {i} failed to prepare: {}", error.message),
-                    ));
-                }
-                _ => {
-                    self.abort_all_timed();
-                    return Err(Response::error(
-                        ErrorCode::Internal,
-                        format!("shard {i} answered an unexpected prepare response"),
-                    ));
-                }
-            }
-        }
+        Ok(staged)
+    }
+
+    /// Phase two on every slot: publish what the prepare staged and
+    /// answer the newest generation. A slot with nothing staged answers
+    /// [`ErrorCode::NotPrepared`].
+    fn commit_all(&self) -> Result<u64, Response> {
         let mut newest = 0;
-        for (i, b) in backends.iter().enumerate() {
+        for (shard, backend) in self.topology.backends().iter().enumerate() {
             let started = Instant::now();
-            let generation = match b.as_local() {
-                Some(local) => {
-                    let committed = local.commit();
-                    self.record_rebuild_phase(RebuildPhase::Commit, started);
-                    committed.map_err(|e| {
-                        Response::error(
-                            ErrorCode::Internal,
-                            format!("shard {i} failed to commit: {e}"),
-                        )
-                    })?
-                }
-                None => {
-                    let response = b.dispatch(&Request::RebuildCommit);
-                    self.record_rebuild_phase(RebuildPhase::Commit, started);
-                    match response {
-                        Response::Committed { generation } => generation,
-                        Response::Error { error } => {
-                            return Err(Response::error(
-                                error.code,
-                                format!("shard {i} failed to commit: {}", error.message),
-                            ))
-                        }
-                        _ => {
-                            return Err(Response::error(
-                                ErrorCode::Internal,
-                                format!("shard {i} answered an unexpected commit response"),
-                            ))
-                        }
-                    }
-                }
-            };
-            newest = newest.max(generation);
+            let answer = backend.dispatch(&Request::RebuildCommit);
+            self.record_phase(|m| &m.rebuild_commit, saturating_nanos(started.elapsed()));
+            match answer {
+                Response::Committed { generation } => newest = newest.max(generation),
+                other => return Err(slot_failure(shard, "commit", other)),
+            }
         }
         if let Some(obs) = &self.obs {
             obs.generation.raise(newest);
@@ -1238,131 +1215,80 @@ impl QueryService {
         Ok(newest)
     }
 
-    /// Records one shard-phase duration into the rebuild histograms.
-    fn record_rebuild_phase(&self, phase: RebuildPhase, started: Instant) {
-        if let Some(obs) = &self.obs {
-            let nanos = saturating_nanos(started.elapsed());
-            match phase {
-                RebuildPhase::Prepare => obs.rebuild_prepare.record(nanos),
-                RebuildPhase::Commit => obs.rebuild_commit.record(nanos),
-                RebuildPhase::Abort => obs.rebuild_abort.record(nanos),
-            }
-        }
-    }
-
-    /// The abort fan-out, timed per shard into the rebuild telemetry.
-    fn abort_all_timed(&self) {
-        if self.obs.is_none() {
-            abort_all(&self.topology);
-            return;
-        }
+    /// Drops staged state on every slot. Abort is idempotent and an
+    /// unreachable slot is skipped (it has nothing durable to publish),
+    /// so this is always safe after a partial prepare.
+    fn abort_all(&self) {
         for backend in self.topology.backends() {
             let started = Instant::now();
-            match backend.as_local() {
-                Some(local) => local.abort(),
-                None => {
-                    let _ = backend.dispatch(&Request::RebuildAbort);
-                }
-            }
-            self.record_rebuild_phase(RebuildPhase::Abort, started);
+            let _ = backend.dispatch(&Request::RebuildAbort);
+            self.record_phase(|m| &m.rebuild_abort, saturating_nanos(started.elapsed()));
         }
     }
 
-    fn rebuild(&mut self, spec: &PipelineSpec) -> Response {
+    /// Records one shard-phase duration into a rebuild histogram.
+    fn record_phase(&self, phase: fn(&ServiceMetrics) -> &Histogram, nanos: u64) {
+        if let Some(obs) = &self.obs {
+            phase(obs).record(nanos);
+        }
+    }
+
+    /// The coordinator barrier behind `Rebuild` and
+    /// [`QueryService::maintain`], run under the topology's barrier lock
+    /// from training to commit. With ingestion configured it is a
+    /// maintenance pass: the buffer drains into the cumulative log, the
+    /// index trains on the seed merged with that log, and the log rides
+    /// every prepare as its `delta` (otherwise the published index would
+    /// forget every streamed point). On failure the drained records go
+    /// back into the buffer and the old generation keeps serving.
+    fn rebuild(&self, spec: &PipelineSpec) -> Response {
         let started = Instant::now();
-        // With ingestion configured, a manual rebuild behaves like a
-        // forced maintenance pass: drain, merge the full log, publish
-        // with the delta — otherwise the published index would silently
-        // forget every streamed point.
-        if self.ingest.is_some() {
-            return self.rebuild_merged(spec, started);
-        }
-        let (index, run) = match self.build_from_spec(spec) {
-            Ok(built) => built,
-            Err(response) => return response,
+        let _barrier = self.topology.lock_barrier();
+        let (log, drained) = match &self.ingest {
+            Some(state) => state.drain_into_log(),
+            None => (Vec::new(), 0),
         };
-        let num_leaves = index.num_leaves();
-        let generation = match self.publish_two_phase(&index, spec, None) {
-            Ok(generation) => generation,
-            Err(response) => return response,
-        };
-        Response::Rebuilt {
-            report: Box::new(RebuildReport {
+        let published = self.train(spec, &log).and_then(|trained| {
+            let baseline = match &self.ingest {
+                Some(state) => Some(
+                    baseline_stats(&trained.dataset, &state.task)
+                        .map_err(|e| Response::error(ErrorCode::Internal, e.to_string()))?,
+                ),
+                None => None,
+            };
+            let delta = self
+                .ingest
+                .is_some()
+                .then(|| log.iter().map(IngestRecord::to_wire).collect());
+            let request = Request::RebuildPrepare {
                 spec: spec.clone(),
-                generation,
-                num_leaves,
-                ence: run.eval.full.ence,
-                build_time: run.build_time,
-                total_time: started.elapsed(),
-            }),
-        }
-    }
-
-    /// The incremental-maintenance rebuild: drain the buffer into the
-    /// cumulative log, retrain on `seed + log`, and drive the two-phase
-    /// barrier with the full log as the delta. On any failure the
-    /// drained records are restored (nothing accepted is ever lost) and
-    /// the old generation keeps serving.
-    fn rebuild_merged(&mut self, spec: &PipelineSpec, started: Instant) -> Response {
-        let state = Arc::clone(self.ingest.as_ref().expect("caller checked ingest"));
-        let _guard = state.maintenance.lock().expect("maintenance lock poisoned");
-        let Some(seed) = self.rebuild_dataset.clone() else {
-            return Response::error(
-                ErrorCode::RebuildUnavailable,
-                "this service was built without a training dataset; rebuilds are disabled",
-            );
-        };
-        let drained = state.buffer.drain();
-        let drained_len = drained.len();
-        let log: Vec<IngestRecord> = {
-            let mut log = state.log.lock().expect("ingest log lock poisoned");
-            log.extend(drained);
-            log.clone()
-        };
-        let merged = match merge_dataset(&seed, &state.task, &log) {
-            Ok(merged) => merged,
-            Err(e) => {
-                state.restore_unmerged(drained_len);
-                return Response::error(ErrorCode::Internal, format!("delta merge failed: {e}"));
-            }
-        };
-        let (index, run) = match build_index(&merged, spec) {
-            Ok(built) => built,
-            Err(crate::ServeError::Pipeline(fsi_pipeline::PipelineError::InvalidConfig(msg))) => {
-                state.restore_unmerged(drained_len);
-                return Response::error(ErrorCode::InvalidSpec, msg);
-            }
-            Err(e) => {
-                state.restore_unmerged(drained_len);
-                return Response::error(ErrorCode::Internal, e.to_string());
-            }
-        };
-        let refreshed = match baseline_stats(&merged, &state.task) {
-            Ok(refreshed) => refreshed,
-            Err(e) => {
-                state.restore_unmerged(drained_len);
-                return Response::error(ErrorCode::Internal, e.to_string());
-            }
-        };
-        let delta: Vec<IngestBody> = log.iter().map(|r| r.to_wire()).collect();
-        let num_leaves = index.num_leaves();
-        match self.publish_two_phase(&index, spec, Some(&delta)) {
-            Ok(generation) => {
-                *state.baseline.lock().expect("baseline lock poisoned") = refreshed;
-                state.store_drift(0.0);
+                delta,
+            };
+            self.prepare_all(&trained.index, &request)?;
+            let generation = self.commit_all()?;
+            Ok((trained, baseline, generation))
+        });
+        match published {
+            Ok((trained, baseline, generation)) => {
+                if let (Some(state), Some(baseline)) = (&self.ingest, baseline) {
+                    *state.baseline.lock().expect("baseline lock poisoned") = baseline;
+                    state.store_drift(0.0);
+                }
                 Response::Rebuilt {
                     report: Box::new(RebuildReport {
                         spec: spec.clone(),
                         generation,
-                        num_leaves,
-                        ence: run.eval.full.ence,
-                        build_time: run.build_time,
+                        num_leaves: trained.index.num_leaves(),
+                        ence: trained.run.eval.full.ence,
+                        build_time: trained.run.build_time,
                         total_time: started.elapsed(),
                     }),
                 }
             }
             Err(response) => {
-                state.restore_unmerged(drained_len);
+                if let Some(state) = &self.ingest {
+                    state.restore_unmerged(drained);
+                }
                 response
             }
         }
@@ -1395,7 +1321,7 @@ impl QueryService {
             return Ok(None);
         }
         let started = Instant::now();
-        match self.rebuild_merged(spec, started) {
+        match self.rebuild(spec) {
             Response::Rebuilt { report } => {
                 if let Some(obs) = &self.obs {
                     obs.maintenance.record(saturating_nanos(started.elapsed()));
@@ -1415,9 +1341,9 @@ impl QueryService {
     }
 
     /// Phase one when *this* service is a shard (or mid-tier
-    /// coordinator) of an upstream fleet: retrain, stage on every local
-    /// shard (re-clipped for partial shards), and forward the prepare to
-    /// any nested remotes. Nothing is served until the commit.
+    /// coordinator) of an upstream fleet: train, then prepare every slot
+    /// of this topology with the same `request`. Nothing is served until
+    /// the commit.
     ///
     /// A `delta` (a maintenance coordinator's full ingest log) is
     /// merged into this shard's own seed dataset before retraining —
@@ -1425,169 +1351,77 @@ impl QueryService {
     /// same `(spec, delta)` stages a bit-identical index. The task the
     /// labels are interpreted under rides in `spec.task`, so a shard
     /// needs no ingestion configuration of its own to participate.
-    fn rebuild_prepare(&mut self, spec: &PipelineSpec, delta: Option<&[IngestBody]>) -> Response {
-        let (index, run) = match delta {
-            None => match self.build_from_spec(spec) {
-                Ok(built) => built,
-                Err(response) => return response,
-            },
-            Some(points) => {
-                let Some(seed) = self.rebuild_dataset.clone() else {
-                    return Response::error(
-                        ErrorCode::RebuildUnavailable,
-                        "this service was built without a training dataset; rebuilds are disabled",
-                    );
-                };
-                let records: Vec<IngestRecord> = points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, b)| IngestRecord::from_wire(i as u64, b))
-                    .collect();
-                let merged = match merge_dataset(&seed, &spec.task, &records) {
-                    Ok(merged) => merged,
-                    Err(e) => {
-                        return Response::error(
-                            ErrorCode::Internal,
-                            format!("delta merge failed: {e}"),
-                        )
-                    }
-                };
-                let built = match build_index(&merged, spec) {
-                    Ok(built) => built,
-                    Err(crate::ServeError::Pipeline(
-                        fsi_pipeline::PipelineError::InvalidConfig(msg),
-                    )) => return Response::error(ErrorCode::InvalidSpec, msg),
-                    Err(e) => return Response::error(ErrorCode::Internal, e.to_string()),
-                };
-                // This shard's own drift baseline moves with the commit:
-                // stage the refreshed statistics alongside the index.
-                if let Some(state) = &self.ingest {
-                    match baseline_stats(&merged, &state.task) {
-                        Ok(b) => {
-                            *state.pending.lock().expect("pending lock poisoned") = Some(b);
-                        }
-                        Err(e) => return Response::error(ErrorCode::Internal, e.to_string()),
-                    }
-                }
-                built
-            }
+    fn rebuild_prepare(
+        &self,
+        request: &Request,
+        spec: &PipelineSpec,
+        delta: Option<&[IngestBody]>,
+    ) -> Response {
+        let _barrier = self.topology.lock_barrier();
+        let log: Vec<IngestRecord> = delta
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+            .map(|(i, b)| IngestRecord::from_wire(i as u64, b))
+            .collect();
+        let trained = match self.train(spec, &log) {
+            Ok(trained) => trained,
+            Err(response) => return response,
         };
-        // The staged footprint reported back: the clipped footprint for
-        // the common single-shard server, the global index's otherwise.
-        let mut report = (index.num_leaves(), index.heap_bytes());
-        for (i, b) in self.topology.backends().iter().enumerate() {
-            let started = Instant::now();
-            match b.as_local() {
-                Some(local) => {
-                    let staged = local.stage(&index);
-                    self.record_rebuild_phase(RebuildPhase::Prepare, started);
-                    match staged {
-                        Ok(staged_report) => {
-                            if self.slots.len() == 1 {
-                                report = staged_report;
-                            }
-                        }
-                        Err(e) => {
-                            self.abort_all_timed();
-                            return Response::error(
-                                ErrorCode::Internal,
-                                format!("shard {i} failed to stage: {e}"),
-                            );
-                        }
-                    }
-                }
-                None => {
-                    let response = b.dispatch(&Request::RebuildPrepare {
-                        spec: spec.clone(),
-                        delta: delta.map(<[IngestBody]>::to_vec),
-                    });
-                    self.record_rebuild_phase(RebuildPhase::Prepare, started);
-                    match response {
-                        Response::Prepared { .. } => {}
-                        Response::Error { error } => {
-                            self.abort_all_timed();
-                            return Response::error(
-                                error.code,
-                                format!("shard {i} failed to prepare: {}", error.message),
-                            );
-                        }
-                        _ => {
-                            self.abort_all_timed();
-                            return Response::error(
-                                ErrorCode::Internal,
-                                format!("shard {i} answered an unexpected prepare response"),
-                            );
-                        }
-                    }
-                }
-            }
+        // This shard's own drift baseline moves with a delta commit:
+        // stage the refreshed statistics alongside the index.
+        let pending = match (&self.ingest, delta) {
+            (Some(state), Some(_)) => match baseline_stats(&trained.dataset, &state.task) {
+                Ok(baseline) => Some(baseline),
+                Err(e) => return Response::error(ErrorCode::Internal, e.to_string()),
+            },
+            _ => None,
+        };
+        let staged = match self.prepare_all(&trained.index, request) {
+            Ok(staged) => staged,
+            Err(response) => return response,
+        };
+        if let Some(state) = &self.ingest {
+            *state.pending.lock().expect("pending lock poisoned") = pending;
         }
+        // The staged footprint reported back: a single slot's own
+        // (clipped) footprint, the global index's otherwise.
+        let (num_leaves, heap_bytes) = match staged.as_slice() {
+            [only] => (only.num_leaves, only.heap_bytes),
+            _ => (trained.index.num_leaves(), trained.index.heap_bytes()),
+        };
         Response::Prepared {
             prepared: Box::new(PreparedBody {
-                num_leaves: report.0,
-                heap_bytes: report.1,
-                ence: run.eval.full.ence,
-                build_time: run.build_time,
+                num_leaves,
+                heap_bytes,
+                ence: trained.run.eval.full.ence,
+                build_time: trained.run.build_time,
             }),
         }
     }
 
-    /// Abandons any staged rebuild on every shard — locals directly,
-    /// remotes via the abort fan-out. Idempotent: aborting with nothing
-    /// staged changes nothing, so it always answers
+    /// Abandons any staged rebuild on every slot. Idempotent: aborting
+    /// with nothing staged changes nothing, so it always answers
     /// [`Response::Aborted`]. A baseline staged by a delta prepare is
     /// dropped with the index it described.
-    fn rebuild_abort(&mut self) -> Response {
+    fn rebuild_abort(&self) -> Response {
+        let _barrier = self.topology.lock_barrier();
         if let Some(state) = &self.ingest {
             *state.pending.lock().expect("pending lock poisoned") = None;
         }
-        self.abort_all_timed();
+        self.abort_all();
         Response::Aborted
     }
 
     /// Phase two: publish whatever the last prepare staged, on every
-    /// shard. A commit with no staged index answers
-    /// [`ErrorCode::NotPrepared`] without touching anything.
-    fn rebuild_commit(&mut self) -> Response {
-        let mut newest = 0;
-        for (i, b) in self.topology.backends().iter().enumerate() {
-            let started = Instant::now();
-            let generation = match b.as_local() {
-                Some(local) => {
-                    let committed = local.commit();
-                    self.record_rebuild_phase(RebuildPhase::Commit, started);
-                    match committed {
-                        Ok(generation) => generation,
-                        Err(e) => {
-                            return Response::error(
-                                ErrorCode::NotPrepared,
-                                format!("shard {i}: {e}"),
-                            )
-                        }
-                    }
-                }
-                None => {
-                    let response = b.dispatch(&Request::RebuildCommit);
-                    self.record_rebuild_phase(RebuildPhase::Commit, started);
-                    match response {
-                        Response::Committed { generation } => generation,
-                        Response::Error { error } => {
-                            return Response::error(
-                                error.code,
-                                format!("shard {i} failed to commit: {}", error.message),
-                            )
-                        }
-                        _ => {
-                            return Response::error(
-                                ErrorCode::Internal,
-                                format!("shard {i} answered an unexpected commit response"),
-                            )
-                        }
-                    }
-                }
-            };
-            newest = newest.max(generation);
-        }
+    /// slot. A commit with no staged index answers
+    /// [`ErrorCode::NotPrepared`].
+    fn rebuild_commit(&self) -> Response {
+        let _barrier = self.topology.lock_barrier();
+        let generation = match self.commit_all() {
+            Ok(generation) => generation,
+            Err(response) => return response,
+        };
         // A delta prepare staged a refreshed drift baseline; committing
         // the merged index makes it current. The local buffer and log
         // are superseded — every point this shard accepted was also
@@ -1600,10 +1434,7 @@ impl QueryService {
                 state.store_drift(0.0);
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.generation.raise(newest);
-        }
-        Response::Committed { generation: newest }
+        Response::Committed { generation }
     }
 }
 
@@ -1639,7 +1470,7 @@ mod tests {
     use fsi_geo::{Grid, Partition};
     use fsi_pipeline::ModelSnapshot;
     use fsi_proto::WireRect;
-    use std::sync::Mutex;
+    use std::sync::{mpsc, Mutex};
 
     fn index() -> FrozenIndex {
         let grid = Grid::unit(8).unwrap();
@@ -2478,6 +2309,108 @@ mod tests {
         };
         assert_eq!(report.generation, 2);
         assert_eq!(svc.topology().generations(), vec![2, 2, 2, 2]);
+    }
+
+    /// What a [`Gated`] slot reports when its first prepare arrives, and
+    /// waits on before forwarding it.
+    type Gate = (mpsc::Sender<()>, mpsc::Receiver<()>);
+
+    /// A [`StubRemote`] whose first prepare announces itself and then
+    /// blocks until released.
+    struct Gated {
+        inner: StubRemote,
+        gate: Mutex<Option<Gate>>,
+    }
+
+    impl ShardBackend for Gated {
+        fn dispatch(&self, request: &Request) -> Response {
+            if matches!(request, Request::RebuildPrepare { .. }) {
+                let gate = self.gate.lock().unwrap().take();
+                if let Some((entered, release)) = gate {
+                    entered.send(()).unwrap();
+                    release.recv().unwrap();
+                }
+            }
+            self.inner.dispatch(request)
+        }
+
+        fn descriptor(&self) -> ShardDescriptor {
+            self.inner.descriptor()
+        }
+
+        fn generation(&self) -> u64 {
+            self.inner.generation()
+        }
+    }
+
+    #[test]
+    fn a_second_rebuild_waits_until_the_first_commits() {
+        let dataset = dataset();
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let gate = Mutex::new(Some((entered_tx, release_rx)));
+        let spec = TopologySpec {
+            rows: 1,
+            cols: 2,
+            shards: vec![BackendSpec::Local, BackendSpec::Http("shard:1".into())],
+        };
+        let topology = Topology::from_spec(&spec, index(), |addr: &str| {
+            let inner = QueryService::new(Topology::partial(&index(), 1, 2, 1).unwrap())
+                .with_rebuild(Arc::clone(&dataset));
+            Ok(Box::new(Gated {
+                inner: StubRemote {
+                    addr: addr.to_string(),
+                    inner: Mutex::new(inner),
+                },
+                gate: Mutex::new(gate.lock().unwrap().take()),
+            }) as Box<dyn ShardBackend>)
+        })
+        .unwrap();
+        let mut svc = QueryService::new(topology).with_rebuild(Arc::clone(&dataset));
+        let first = ingest_spec();
+        let second = PipelineSpec::new(
+            fsi_pipeline::TaskSpec::act(),
+            fsi_pipeline::Method::FairKd,
+            2,
+        );
+        let (first_answer, second_answer, early) = std::thread::scope(|scope| {
+            let mut a = svc.clone();
+            let spec = first.clone();
+            let first = scope.spawn(move || a.dispatch(&Request::Rebuild { spec }));
+            entered.recv().unwrap();
+            let (done, finished) = mpsc::channel();
+            let mut b = svc.clone();
+            let spec = second.clone();
+            let second = scope.spawn(move || {
+                let answer = b.dispatch(&Request::Rebuild { spec });
+                done.send(()).unwrap();
+                answer
+            });
+            let early = finished.recv_timeout(Duration::from_secs(1)).is_ok();
+            release.send(()).unwrap();
+            (first.join().unwrap(), second.join().unwrap(), early)
+        });
+        assert!(
+            !early,
+            "the second rebuild answered while the first was blocked in its prepare"
+        );
+        let generation = |answer: &Response| match answer {
+            Response::Rebuilt { report } => report.generation,
+            other => panic!("expected a rebuild report, got {other:?}"),
+        };
+        assert_eq!(generation(&first_answer), 2);
+        assert_eq!(generation(&second_answer), 3);
+        assert_eq!(svc.topology().generations(), vec![3, 3]);
+        // Every slot serves the second spec.
+        let (reference, _) = build_index(&dataset, &second).unwrap();
+        for i in 0..64 {
+            let (x, y) = (((i % 8) as f64 + 0.5) / 8.0, ((i / 8) as f64 + 0.5) / 8.0);
+            let expected: DecisionBody = reference.lookup(&Point::new(x, y)).unwrap().into();
+            match svc.dispatch(&Request::Lookup { x, y }) {
+                Response::Decision { decision } => assert_eq!(decision, expected, "({x}, {y})"),
+                other => panic!("expected decision, got {other:?}"),
+            }
+        }
     }
 
     /// Which shard slot ran a forwarded request, and on which thread.

@@ -27,10 +27,11 @@ use crate::frozen::FrozenIndex;
 use crate::handle::{IndexHandle, IndexReader};
 use fsi_geo::{Point, Rect};
 use fsi_proto::{
-    ErrorCode, HealthBody, MetricsBody, Request, Response, ShardHealthBody, StatsBody,
+    ErrorCode, HealthBody, MetricsBody, PreparedBody, Request, Response, ShardHealthBody, StatsBody,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Transport-level counters a remote backend accumulates below the
 /// protocol — the raw feed the metrics scrape folds into
@@ -71,8 +72,21 @@ pub trait ShardBackend: Send + Sync {
     /// implementations may need a round-trip; `0` means unreachable.
     fn generation(&self) -> u64;
 
-    /// Downcast hook for coordinators: local shards expose their staged
-    /// rebuild state and readers; remote shards return `None`.
+    /// Phase one of the two-phase rebuild barrier: make `index` (the
+    /// coordinator's freshly trained global index) the staged, not yet
+    /// served, state of this slot. The default forwards `request` (the
+    /// coordinator's [`Request::RebuildPrepare`]) so a remote shard
+    /// retrains on its own copy of the data; in-process backends stage
+    /// `index` directly instead. A success answers
+    /// [`Response::Prepared`]; the commit and abort that follow are plain
+    /// [`ShardBackend::dispatch`] calls.
+    fn prepare(&self, index: &FrozenIndex, request: &Request) -> Response {
+        let _ = index;
+        self.dispatch(request)
+    }
+
+    /// Downcast hook for coordinators: local shards expose their
+    /// readers; remote shards return `None`.
     fn as_local(&self) -> Option<&LocalShard> {
         None
     }
@@ -165,7 +179,7 @@ impl LocalShard {
     /// Phase one of a two-phase rebuild: clip (when partial) and stage
     /// the freshly built global `index` without serving it. Returns the
     /// staged index's `(num_leaves, heap_bytes)`.
-    pub fn stage(&self, index: &FrozenIndex) -> Result<(usize, usize), ServeError> {
+    fn stage(&self, index: &FrozenIndex) -> Result<(usize, usize), ServeError> {
         let staged = match &self.clip {
             Some(rect) => index.compile_clipped(rect)?,
             None => index.clone(),
@@ -178,7 +192,7 @@ impl LocalShard {
     /// Phase two: publish the staged index (a pointer swap) and return
     /// the new generation. Fails with [`ServeError::NotStaged`] when no
     /// prepare preceded the commit.
-    pub fn commit(&self) -> Result<u64, ServeError> {
+    fn commit(&self) -> Result<u64, ServeError> {
         let staged = self
             .staged
             .lock()
@@ -191,7 +205,7 @@ impl LocalShard {
 
     /// Drops any staged index (a failed prepare fan-out aborts here so
     /// a later unrelated commit cannot publish it).
-    pub fn abort(&self) {
+    fn abort(&self) {
         *self.staged.lock().expect("staging lock poisoned") = None;
     }
 
@@ -302,6 +316,22 @@ impl ShardBackend for LocalShard {
             Request::Metrics => Response::Metrics {
                 metrics: Box::new(MetricsBody::empty()),
             },
+        }
+    }
+
+    /// Stages `index` (re-clipped when partial). The staged footprint
+    /// is reported; the training fields are the trainer's to fill in.
+    fn prepare(&self, index: &FrozenIndex, _request: &Request) -> Response {
+        match self.stage(index) {
+            Ok((num_leaves, heap_bytes)) => Response::Prepared {
+                prepared: Box::new(PreparedBody {
+                    num_leaves,
+                    heap_bytes,
+                    ence: 0.0,
+                    build_time: Duration::ZERO,
+                }),
+            },
+            Err(e) => Response::error(ErrorCode::Internal, format!("staging failed: {e}")),
         }
     }
 
@@ -546,6 +576,10 @@ pub struct Topology {
     inv_w: f64,
     inv_h: f64,
     backends: Vec<Box<dyn ShardBackend>>,
+    /// Serializes republishes: held by a coordinator from training to
+    /// commit, and by each shard-role barrier message, so two rebuilds
+    /// can never interleave on the backends' staging slots.
+    barrier: Mutex<()>,
 }
 
 impl Topology {
@@ -686,7 +720,14 @@ impl Topology {
             inv_w: cols as f64 / bounds.width(),
             inv_h: rows as f64 / bounds.height(),
             backends,
+            barrier: Mutex::new(()),
         }
+    }
+
+    /// Takes the republish barrier lock. Poisoning is shrugged off: the
+    /// lock guards no data, only the order of barrier passes.
+    pub(crate) fn lock_barrier(&self) -> MutexGuard<'_, ()> {
+        self.barrier.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of shards (`rows × cols`).
@@ -755,38 +796,6 @@ impl Topology {
         out
     }
 
-    /// Stages and commits a replica of the global `index` on every
-    /// **local** shard (clipping partial shards) — the one-box publish
-    /// path. Fails without touching anything if any shard is remote:
-    /// remote fleets are rebuilt through the two-phase protocol
-    /// (`RebuildPrepare` / `RebuildCommit`) by a coordinator service.
-    pub fn publish(&self, index: FrozenIndex) -> Result<u64, ServeError> {
-        let locals: Vec<&LocalShard> = self
-            .backends
-            .iter()
-            .map(|b| {
-                b.as_local().ok_or_else(|| {
-                    ServeError::InvalidTopology(
-                        "cannot publish directly to a remote shard; use a two-phase rebuild".into(),
-                    )
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        for local in &locals {
-            if let Err(e) = local.stage(&index) {
-                for local in &locals {
-                    local.abort();
-                }
-                return Err(e);
-            }
-        }
-        let mut newest = 0;
-        for local in &locals {
-            newest = newest.max(local.commit()?);
-        }
-        Ok(newest)
-    }
-
     /// Per-shard generations, in shard order (remote shards may need a
     /// round-trip; `0` means unreachable).
     pub fn generations(&self) -> Vec<u64> {
@@ -798,7 +807,7 @@ impl Topology {
 mod tests {
     use super::*;
     use fsi_geo::{Grid, Partition};
-    use fsi_pipeline::ModelSnapshot;
+    use fsi_pipeline::{Method, ModelSnapshot, PipelineSpec, TaskSpec};
 
     fn index() -> FrozenIndex {
         let grid = Grid::unit(8).unwrap();
@@ -964,7 +973,25 @@ mod tests {
         let snapshot = ModelSnapshot::uniform(4, 0.9).unwrap();
         let next = FrozenIndex::from_partition(&partition, &grid, &snapshot).unwrap();
         let full_heap = next.heap_bytes();
-        assert_eq!(topo.publish(next).unwrap(), 2);
+        // The barrier's per-slot calls: stage through `prepare` (a local
+        // shard stages the given index and never reads the request),
+        // then commit through `dispatch`.
+        let request = Request::RebuildPrepare {
+            spec: PipelineSpec::new(TaskSpec::act(), Method::MedianKd, 1),
+            delta: None,
+        };
+        for b in topo.backends() {
+            assert!(matches!(
+                b.prepare(&next, &request),
+                Response::Prepared { .. }
+            ));
+        }
+        for b in topo.backends() {
+            assert_eq!(
+                b.dispatch(&Request::RebuildCommit),
+                Response::Committed { generation: 2 }
+            );
+        }
         assert_eq!(topo.generations(), vec![2, 2, 2, 2]);
         for b in topo.backends() {
             let served = b.as_local().unwrap().handle().load();

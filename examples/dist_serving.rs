@@ -1,7 +1,8 @@
 //! Distributed serving end to end: two real HTTP shard servers, each
 //! holding a **partial index** (only its half of the map), behind one
 //! scatter-gather coordinator — then a two-phase rebuild that retrains
-//! every shard and swaps all of them in lockstep.
+//! every shard and swaps all of them in lockstep, and a second one over
+//! replica slots that pair an in-process member with each shard server.
 //!
 //! ```sh
 //! cargo run --release -p fsi --example dist_serving
@@ -13,7 +14,10 @@
 //! via `redistricting_cli serve --topology spec.json` /
 //! `--shard-of IDX --listen ADDR`.
 
-use fsi::{BackendSpec, Method, Pipeline, Request, Response, TaskSpec, TopologySpec, WirePoint};
+use fsi::{
+    BackendSpec, Method, Pipeline, Request, ResiliencePolicy, Response, TaskSpec, TopologySpec,
+    WirePoint,
+};
 use fsi_data::synth::city::{CityConfig, CityGenerator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -125,6 +129,76 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("post-rebuild generations: {:?}", stats.generations);
         assert_eq!(stats.generations, vec![2, 2]);
     }
+
+    // Replica slots: each half is served by an in-process partial index
+    // *and* the running shard server for that half. The barrier stages
+    // the coordinator's index on the local member and has the shard
+    // server retrain, on both slots, before any member commits.
+    let replicated = TopologySpec {
+        rows: 1,
+        cols: 2,
+        shards: [&shard0, &shard1]
+            .iter()
+            .map(|server| {
+                BackendSpec::Replicas(vec![
+                    BackendSpec::Local,
+                    BackendSpec::Http(server.addr().to_string()),
+                ])
+            })
+            .collect(),
+    };
+    println!(
+        "\nreplica topology: {}",
+        serde_json::to_string(&replicated)?
+    );
+    let mut replicas = serving.service_over_with(&replicated, ResiliencePolicy::default())?;
+    let final_spec = fsi::PipelineSpec::new(TaskSpec::act(), Method::FairKd, 4);
+    let generation = match replicas.dispatch(&Request::Rebuild {
+        spec: final_spec.clone(),
+    }) {
+        Response::Rebuilt { report } => report.generation,
+        other => return Err(format!("replica rebuild failed: {other:?}").into()),
+    };
+    match replicas.dispatch(&Request::Stats) {
+        Response::Stats { stats } => {
+            println!("replica-slot generations: {:?}", stats.generations);
+            assert_eq!(stats.generations, vec![generation; 2]);
+        }
+        other => return Err(format!("unexpected stats answer: {other:?}").into()),
+    }
+    // Both members of every slot answer what the new spec's index does,
+    // bit for bit: the coordinator reads its local members, the shard
+    // servers answer for their own halves.
+    let (expected, _run) = fsi_serve::build_index(&dataset, &final_spec)?;
+    let mut members = [
+        fsi::HttpClient::connect(shard0.addr())?,
+        fsi::HttpClient::connect(shard1.addr())?,
+    ];
+    let mut checked = 0;
+    for i in 0..16 {
+        for j in 0..16 {
+            let (x, y) = ((f64::from(i) + 0.5) / 16.0, (f64::from(j) + 0.5) / 16.0);
+            let p = fsi::Point::new(x, y);
+            let want = expected.lookup(&p).ok_or("point out of bounds")?;
+            let slot = replicas.topology().shard_of(&p).ok_or("point not routed")?;
+            for got in [
+                replicas.dispatch(&Request::Lookup { x, y }),
+                members[slot].call(&Request::Lookup { x, y })?,
+            ] {
+                let Response::Decision { decision } = got else {
+                    return Err(format!("unexpected lookup answer: {got:?}").into());
+                };
+                assert_eq!(decision.leaf_id, want.leaf_id);
+                assert_eq!(decision.raw_score.to_bits(), want.raw_score.to_bits());
+                assert_eq!(
+                    decision.calibrated_score.to_bits(),
+                    want.calibrated_score.to_bits()
+                );
+                checked += 1;
+            }
+        }
+    }
+    println!("replica slots match the retrained index on {checked} lookups");
 
     coordinator.shutdown();
     shard0.shutdown();

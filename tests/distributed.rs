@@ -480,14 +480,38 @@ fn streamed_wave(grid: &Grid, n: u32) -> Vec<IngestBody> {
 }
 
 /// The maintenance differential property: after streamed points trip a
-/// maintenance pass on a coordinator whose remote shards are real HTTP
-/// servers, every decision — local or routed across the wire — is
-/// **bit-identical** to a from-scratch retrain on seed ∪ streamed
-/// points. The coordinator ships its full ordered ingest log as the
-/// two-phase prepare's delta, so the remote shards (which never saw an
-/// `Ingest` request) merge exactly the same dataset.
+/// maintenance pass, every decision — local or routed across the wire —
+/// is **bit-identical** to a from-scratch retrain on seed ∪ streamed
+/// points, and every slot ends on the same generation. The coordinator
+/// ships its full ordered ingest log as the two-phase prepare's delta, so
+/// the HTTP shard servers (which never saw an `Ingest` request) merge
+/// exactly the same dataset. Runs over three slot shapes: local and HTTP
+/// slots, all-local replica slots, and one replica slot pairing a local
+/// member with an HTTP shard server.
 #[test]
 fn drift_triggered_maintenance_is_bit_exact_with_a_from_scratch_retrain() {
+    // `Http` members are placeholders: each becomes a real shard server
+    // over its slot's partial index.
+    let http = || BackendSpec::Http(String::new());
+    let local_replicas = BackendSpec::Replicas(vec![BackendSpec::Local, BackendSpec::Local]);
+    maintenance_matches_a_from_scratch_retrain(vec![
+        BackendSpec::Local,
+        http(),
+        http(),
+        BackendSpec::Local,
+    ]);
+    maintenance_matches_a_from_scratch_retrain(vec![local_replicas; 4]);
+    maintenance_matches_a_from_scratch_retrain(vec![
+        BackendSpec::Local,
+        BackendSpec::Replicas(vec![BackendSpec::Local, http()]),
+        BackendSpec::Local,
+        BackendSpec::Local,
+    ]);
+}
+
+/// One run of the maintenance oracle over a 2×2 coordinator whose slots
+/// are shaped like `shape`.
+fn maintenance_matches_a_from_scratch_retrain(shape: Vec<BackendSpec>) {
     let d = dataset();
     let policy = MaintenanceSpec {
         drift_threshold: 1e18, // only occupancy triggers here
@@ -505,27 +529,48 @@ fn drift_triggered_maintenance_is_bit_exact_with_a_from_scratch_retrain() {
         .unwrap();
 
     let local_spec = TopologySpec::local(2, 2);
-    let shard1 = fsi::HttpServer::bind(
-        serving.service_shard(&local_spec, 1).unwrap(),
-        "127.0.0.1:0",
-    )
-    .unwrap();
-    let shard2 = fsi::HttpServer::bind(
-        serving.service_shard(&local_spec, 2).unwrap(),
-        "127.0.0.1:0",
-    )
-    .unwrap();
+    let mut servers: Vec<(usize, fsi::HttpServer)> = Vec::new();
+    let mut bind = |slot: usize| {
+        let server = fsi::HttpServer::bind(
+            serving.service_shard(&local_spec, slot).unwrap(),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let backend = BackendSpec::Http(server.addr().to_string());
+        servers.push((slot, server));
+        backend
+    };
+    let mut shards = Vec::new();
+    for (slot, backend) in shape.iter().enumerate() {
+        shards.push(match backend {
+            BackendSpec::Http(_) => bind(slot),
+            BackendSpec::Replicas(members) => BackendSpec::Replicas(
+                members
+                    .iter()
+                    .map(|member| match member {
+                        BackendSpec::Http(_) => bind(slot),
+                        other => other.clone(),
+                    })
+                    .collect(),
+            ),
+            other => other.clone(),
+        });
+    }
     let spec = TopologySpec {
         rows: 2,
         cols: 2,
-        shards: vec![
-            BackendSpec::Local,
-            BackendSpec::Http(shard1.addr().to_string()),
-            BackendSpec::Http(shard2.addr().to_string()),
-            BackendSpec::Local,
-        ],
+        shards,
     };
-    let mut coordinator = serving.service_over(&spec).unwrap();
+    let replicated = spec
+        .shards
+        .iter()
+        .any(|b| matches!(b, BackendSpec::Replicas(_)));
+    let mut coordinator = if replicated {
+        serving.service_over_with(&spec, ResiliencePolicy::default())
+    } else {
+        serving.service_over(&spec)
+    }
+    .unwrap();
 
     let bodies = streamed_wave(d.grid(), 96);
     match coordinator.dispatch(&Request::IngestBatch {
@@ -544,9 +589,9 @@ fn drift_triggered_maintenance_is_bit_exact_with_a_from_scratch_retrain() {
     let pspec = serving.spec().clone();
     let generation = coordinator
         .maintain(&policy, &pspec)
-        .unwrap()
+        .unwrap_or_else(|e| panic!("{shape:?}: {e}"))
         .expect("occupancy past the policy must trigger a rebuild");
-    assert_eq!(generation, 2);
+    assert_eq!(generation, 2, "{shape:?}");
 
     // From-scratch reference: retrain on seed ∪ streamed points, merged
     // in stream order — exactly what every shard must now be serving.
@@ -558,22 +603,48 @@ fn drift_triggered_maintenance_is_bit_exact_with_a_from_scratch_retrain() {
     let merged = fsi_ingest::merge_dataset(&d, &TaskSpec::act(), &records).unwrap();
     let (reference, _run) = fsi_serve::build_index(&merged, &pspec).unwrap();
 
-    for p in query_points(d.grid(), 300, 41) {
-        let expected: DecisionBody = reference.lookup(&p).unwrap().into();
-        let got = expect_decision(coordinator.dispatch(&Request::Lookup { x: p.x, y: p.y }));
-        assert_eq!(got, expected, "post-maintenance decision at {p:?}");
+    let bit_exact = |got: DecisionBody, expected: DecisionBody, p: &Point| {
+        assert_eq!(
+            got, expected,
+            "{shape:?}: post-maintenance decision at {p:?}"
+        );
         assert_eq!(got.raw_score.to_bits(), expected.raw_score.to_bits());
         assert_eq!(
             got.calibrated_score.to_bits(),
             expected.calibrated_score.to_bits()
         );
+    };
+    let points = query_points(d.grid(), 300, 41);
+    for p in &points {
+        let expected: DecisionBody = reference.lookup(p).unwrap().into();
+        let got = expect_decision(coordinator.dispatch(&Request::Lookup { x: p.x, y: p.y }));
+        bit_exact(got, expected, p);
+    }
+    // Every shard server answers its own slot's points the same way —
+    // including replica members the coordinator's reads never reach.
+    for (slot, server) in &servers {
+        let mut client = fsi::HttpClient::connect(server.addr()).unwrap();
+        for p in points
+            .iter()
+            .filter(|p| coordinator.topology().shard_of(p) == Some(*slot))
+        {
+            let expected: DecisionBody = reference.lookup(p).unwrap().into();
+            let got = expect_decision(client.call(&Request::Lookup { x: p.x, y: p.y }).unwrap());
+            bit_exact(got, expected, p);
+        }
     }
     match coordinator.dispatch(&Request::Stats) {
-        Response::Stats { stats } => assert_eq!(stats.generations, vec![2, 2, 2, 2]),
+        Response::Stats { stats } => assert_eq!(stats.generations, vec![2, 2, 2, 2], "{shape:?}"),
         other => panic!("expected stats, got {other:?}"),
     }
-    shard1.shutdown();
-    shard2.shutdown();
+    assert_eq!(
+        coordinator.topology().generations(),
+        vec![2, 2, 2, 2],
+        "{shape:?}"
+    );
+    for (_, server) in servers {
+        server.shutdown();
+    }
 }
 
 /// Streaming ingestion under fire: keep-alive readers hammer a

@@ -8,7 +8,7 @@ use fsi::{FsiError, Method, Pipeline, PipelineSpec, TaskSpec};
 use fsi_data::synth::city::{CityConfig, CityGenerator};
 use fsi_data::SpatialDataset;
 use fsi_geo::{Grid, Point, Rect};
-use fsi_serve::{FrozenIndex, IndexHandle, Rebuilder};
+use fsi_serve::{FrozenIndex, IndexHandle};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -294,13 +294,14 @@ fn background_rebuild_swaps_under_a_live_reader() {
     let before = reader.snapshot().num_leaves();
     assert_eq!(before, 4);
 
-    let rebuilder = Rebuilder::new(serving.handle().clone());
     let spec = PipelineSpec::new(TaskSpec::act(), Method::FairKd, 5);
-    let join = rebuilder.spawn_rebuild(d.clone(), spec);
-    // The reader keeps serving the old snapshot while training runs…
-    let p = Point::new(0.25, 0.75);
-    assert!(reader.snapshot().lookup(&p).is_some());
-    let report = join.join().unwrap().unwrap();
+    let report = std::thread::scope(|scope| {
+        let join = scope.spawn(|| serving.rebuild_with(&spec));
+        // The reader keeps serving the old snapshot while training runs…
+        let p = Point::new(0.25, 0.75);
+        assert!(reader.snapshot().lookup(&p).is_some());
+        join.join().unwrap().unwrap()
+    });
     // …and observes the new one after the swap (a fair tree may stop a
     // little short of the full 2^h leaves when a region is unsplittable).
     assert!(
