@@ -274,10 +274,12 @@ impl<'d> Run<'d> {
     /// occupancy or staleness warrants folding them in through a
     /// hot-swap rebuild. Drive maintenance explicitly with
     /// [`QueryService::maintain`], or in the background via
-    /// [`Serving::spawn_maintenance`]. Shard services
-    /// ([`Serving::service_shard`]) stay write-free: they merge
-    /// coordinator-shipped deltas during two-phase rebuilds without any
-    /// ingestion state of their own.
+    /// [`Serving::spawn_maintenance`]. Ingestion stays on the
+    /// coordinator: it never forwards an `Ingest` to a shard. Shard
+    /// services ([`Serving::service_shard`]) stay write-free and merge
+    /// the coordinator's shipped log during two-phase rebuilds without
+    /// any ingestion state of their own; an ingesting service refuses
+    /// such a delta, since it owns its log.
     pub fn serve_with_ingest(&self, policy: MaintenanceSpec) -> Result<Serving<'d>, FsiError> {
         policy
             .validate()

@@ -3,7 +3,7 @@
 use crate::policy::{splitmix64, unit_f64};
 use fsi_obs::Counter;
 use fsi_proto::{ErrorCode, Request, Response, ShardHealthBody};
-use fsi_serve::{FrozenIndex, LocalShard, ShardBackend, ShardDescriptor, TransportStats};
+use fsi_serve::{FrozenIndex, ShardBackend, ShardDescriptor, TransportStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,7 +38,9 @@ impl ChaosSwitch {
 ///   socket.
 ///
 /// Injected faults are transport-shaped (`ErrorCode::Internal`), so the
-/// resilience layer treats them exactly like a dead remote.
+/// resilience layer treats them exactly like a dead remote. The wrapper
+/// never hands out its inner shard ([`ShardBackend::as_local`] stays
+/// `None`), so no coordinator or replica set can read past the faults.
 pub struct ChaosShard {
     inner: Box<dyn ShardBackend>,
     error_every: Option<u64>,
@@ -152,10 +154,6 @@ impl ShardBackend for ChaosShard {
             return 0;
         }
         self.inner.generation()
-    }
-
-    fn as_local(&self) -> Option<&LocalShard> {
-        self.inner.as_local()
     }
 
     fn transport_stats(&self) -> Option<TransportStats> {

@@ -24,12 +24,12 @@ const LATENCY_SAMPLE_EVERY: u64 = 64;
 struct ReplicaSlot {
     backend: Arc<dyn ShardBackend>,
     /// A [`LocalShard::read_twin`] of `backend`, when the member is a
-    /// plain in-process shard ([`ShardBackend::as_plain_local`]): the
-    /// healthy fast path dispatches pure reads through it *statically*,
-    /// sparing the vtable's dependent loads — worth a few nanoseconds
-    /// against a ~60 ns local lookup, which the suite's ≤ 1.10x gate
-    /// cares about. Rebuild-barrier and ingest traffic always goes
-    /// through `backend`, whose staging slot is the real one.
+    /// [`LocalShard`] itself ([`ShardBackend::as_local`], which wrappers
+    /// never forward): the healthy fast path dispatches pure reads
+    /// through it *statically*, sparing the vtable's dependent loads —
+    /// worth a few nanoseconds against a ~60 ns local lookup, which the
+    /// suite's ≤ 1.10x gate cares about. Rebuild-barrier traffic always
+    /// goes through `backend`, whose staging slot is the real one.
     local: Option<LocalShard>,
     breaker: CircuitBreaker,
     /// Total dispatches, doubling as the latency-sampling tick. Bumped
@@ -174,7 +174,7 @@ impl ReplicaSet {
         let slots = members
             .into_iter()
             .map(|backend| ReplicaSlot {
-                local: backend.as_plain_local().map(LocalShard::read_twin),
+                local: backend.as_local().map(LocalShard::read_twin),
                 backend: Arc::from(backend),
                 breaker: CircuitBreaker::new(policy.breaker_threshold, policy.breaker_reset_ms),
                 attempts: AtomicU64::new(0),

@@ -80,6 +80,14 @@ impl IndexHandle {
         self.shared.lock().clone()
     }
 
+    /// The current snapshot and the generation it serves at, read under
+    /// one lock acquisition (as [`IndexHandle::reader`] does), so a
+    /// concurrent publish can never pair one with the other's partner.
+    pub(crate) fn load_with_generation(&self) -> (Arc<FrozenIndex>, u64) {
+        let cur = self.shared.lock();
+        (cur.clone(), self.shared.generation.load(Ordering::Relaxed))
+    }
+
     /// Generation of the live snapshot (starts at 1, +1 per publish).
     pub fn generation(&self) -> u64 {
         self.shared.generation.load(Ordering::Acquire)
@@ -87,13 +95,10 @@ impl IndexHandle {
 
     /// Creates a reader with its own cached snapshot.
     pub fn reader(&self) -> IndexReader {
-        // Snapshot and generation must be read under one lock
-        // acquisition: pairing them from separate reads could tag an old
-        // snapshot with a newer generation, leaving the reader stale
-        // until the *next* publish.
-        let cur = self.shared.lock();
-        let cached = cur.clone();
-        let seen = self.shared.generation.load(Ordering::Relaxed);
+        // Pairing snapshot and generation from separate reads could tag
+        // an old snapshot with a newer generation, leaving the reader
+        // stale until the *next* publish.
+        let (cached, seen) = self.load_with_generation();
         IndexReader {
             shared: Arc::clone(&self.shared),
             seen,

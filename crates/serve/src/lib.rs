@@ -18,14 +18,16 @@
 //!
 //! * [`QueryService`] — dispatches every typed [`fsi_proto::Request`] to
 //!   an [`fsi_proto::Response`]; the one query surface every transport
-//!   (REPL, HTTP, future RPC) sits on.
+//!   (REPL, HTTP, future RPC) sits on, and the only place points are
+//!   ingested (shards receive the coordinator's log with a rebuild).
 //! * [`Topology`] / [`ShardBackend`] — spatially partitions the served
 //!   bounds over a set of shard backends (in-process [`LocalShard`]s
 //!   over partial indexes, or remote processes speaking the protocol):
-//!   lookups route to one shard, range queries scatter-gather, rebuilds
-//!   run a two-phase generation barrier. Built from a validated
-//!   [`TopologySpec`] (`rows × cols`, per-shard `local` or
-//!   `http://host:port`).
+//!   lookups route to one shard, batches and range queries
+//!   scatter-gather, rebuilds run a two-phase generation barrier. Built
+//!   from a validated [`TopologySpec`] (`rows × cols`, per-shard `local`
+//!   or `http://host:port`). `LocalShard` answers every in-process read,
+//!   whether dispatched to it directly or from a coordinator's reader.
 //! * [`IndexHandle`] / [`IndexReader`] — lock-free reads with atomic
 //!   snapshot hot-swap (std-only `Arc` + atomics), so a rebuild never
 //!   blocks a query.

@@ -4,21 +4,24 @@
 //! [`fsi_proto::Response`]. Nothing else in the system answers queries.
 //!
 //! A service coordinates a [`Topology`] of [`ShardBackend`]s: point
-//! lookups route to exactly one shard (answered in-process for local
-//! shards, forwarded for remote ones), range queries scatter-gather
-//! across the intersected shards and merge (threads are spawned only to
-//! overlap transport round-trips — see `QueryService::fanout`), stats
-//! report a per-shard breakdown, and (when constructed with a dataset
-//! via [`QueryService::with_rebuild`]) rebuilds run a **two-phase
-//! generation barrier**: every shard stages the retrained index before
-//! any shard publishes, so no client ever observes a mixed-generation
-//! fleet mid-rebuild.
+//! lookups route to exactly one shard, batches and range queries
+//! scatter-gather across the shards they touch and merge (threads are
+//! spawned only to overlap transport round-trips — see
+//! `QueryService::fanout`), stats report one row per shard, and (when
+//! constructed with a dataset via [`QueryService::with_rebuild`])
+//! rebuilds run a **two-phase generation barrier**: every shard stages
+//! the retrained index before any shard publishes, so no client ever
+//! observes a mixed-generation fleet mid-rebuild. A local slot answers
+//! from this clone's reader through `LocalShard::read`, the one place
+//! an in-process read is answered; every other slot is forwarded to.
+//! Ingestion stays on the coordinator: shards never see an `Ingest`,
+//! only the accumulated log a maintenance rebuild ships them.
 //!
 //! The service is **cheap to clone and single-threaded by design**:
-//! each clone owns its per-shard [`IndexReader`]s and its reusable batch
-//! buffers, while the topology (and thus the live indexes and remote
-//! connections) stays shared. A transport spawns one clone per worker
-//! thread and dispatches without any locking on the local hot path.
+//! each clone owns its per-shard [`IndexReader`]s, while the topology
+//! (and thus the live indexes and remote connections) stays shared. A
+//! transport spawns one clone per worker thread and dispatches without
+//! any locking on the local hot path.
 
 use crate::frozen::{Decision, FrozenIndex};
 use crate::obs::{
@@ -26,11 +29,11 @@ use crate::obs::{
     SlowQuerySink, KINDS, K_LOOKUP,
 };
 use crate::rebuild::build_index;
-use crate::topology::{ShardBackend, Topology};
+use crate::topology::{LocalShard, ShardBackend, Topology};
 use crate::{IndexReader, RebuildReport, ServeError};
 use fsi_core::CellStats;
 use fsi_data::SpatialDataset;
-use fsi_geo::{Point, Rect};
+use fsi_geo::Point;
 use fsi_ingest::{
     baseline_stats, merge_dataset, DeltaBuffer, DriftDetector, IngestError, IngestRecord,
     MaintenanceSpec,
@@ -40,7 +43,7 @@ use fsi_pipeline::{MethodRun, PipelineError, PipelineSpec, TaskSpec};
 use fsi_proto::{
     DecisionBody, ErrorCode, ErrorCountBody, HealthBody, IngestBody, MetricsBody, PreparedBody,
     RebuildObsBody, Request, RequestKindMetrics, Response, ShardHealthBody, ShardObsBody,
-    ShardStatsBody, StatsBody, WirePoint,
+    ShardStatsBody, StatsBody, WirePoint, WireRect,
 };
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,9 +102,6 @@ struct IngestState {
     /// Per-cell statistics of the currently *published* dataset (seed
     /// plus every folded-in record) — what drift is measured against.
     baseline: Mutex<CellStats>,
-    /// Baseline awaiting the commit of an in-flight delta prepare (the
-    /// shard-role half of the two-phase barrier); an abort drops it.
-    pending: Mutex<Option<CellStats>>,
     /// Bit pattern of the last measured drift score, refreshed by
     /// maintenance polls and metrics scrapes.
     drift_bits: AtomicU64,
@@ -145,11 +145,11 @@ impl IngestState {
 
 /// What one shard slot looks like from this service clone: a private
 /// [`IndexReader`] over the local shard's handle (the lock-free hot
-/// path), or a marker that queries must be forwarded through the
-/// topology's boxed backend. `transport` records, once at construction,
-/// whether a socket sits under that backend
-/// ([`ShardBackend::transport_stats`] is `Some`): only those slots'
-/// round-trips are worth overlapping on threads in
+/// path, answered through [`LocalShard::read`]), or a marker that
+/// queries must be forwarded through the topology's boxed backend.
+/// `transport` records, once at construction, whether a socket sits
+/// under that backend ([`ShardBackend::transport_stats`] is `Some`):
+/// only those slots' round-trips are worth overlapping on threads in
 /// [`QueryService::fanout`]. Replica sets of local shards and wrappers
 /// over in-process backends have none.
 enum ShardSlot {
@@ -163,19 +163,6 @@ struct Trained<'a> {
     index: FrozenIndex,
     run: MethodRun,
     dataset: Cow<'a, SpatialDataset>,
-}
-
-/// The out-of-bounds error a batch lookup answers, naming the offending
-/// point by its index *within the batch* regardless of which shard
-/// (local or remote) rejected it.
-fn batch_oob(index: usize, wp: &WirePoint) -> Response {
-    Response::error(
-        ErrorCode::OutOfBounds,
-        format!(
-            "point #{index} at ({}, {}) is outside the index bounds",
-            wp.x, wp.y
-        ),
-    )
 }
 
 /// The one mapping from a slot's failed barrier phase to the barrier's
@@ -199,10 +186,6 @@ pub struct QueryService {
     topology: Arc<Topology>,
     slots: Vec<ShardSlot>,
     rebuild_dataset: Option<Arc<SpatialDataset>>,
-    /// Reusable scratch for batch lookups (converted query points).
-    points: Vec<Point>,
-    /// Reusable scratch for batch lookups (decisions out).
-    decisions: Vec<Decision>,
     /// Optional streaming-ingestion state, shared across clones.
     ingest: Option<Arc<IngestState>>,
     /// This clone's telemetry shard in the registry every clone shares;
@@ -262,7 +245,6 @@ impl QueryService {
             buffer,
             log: Mutex::new(Vec::new()),
             baseline: Mutex::new(baseline),
-            pending: Mutex::new(None),
             drift_bits: AtomicU64::new(0),
         }));
         Ok(self)
@@ -333,8 +315,6 @@ impl QueryService {
             topology,
             slots,
             rebuild_dataset,
-            points: Vec::new(),
-            decisions: Vec::new(),
             ingest: None,
             obs: Some(Registry::new(move || ServiceMetrics::new(n_shards)).recorder()),
             tick: 0,
@@ -371,8 +351,8 @@ impl QueryService {
     #[inline]
     fn dispatch_inner(&mut self, request: &Request) -> Response {
         match request {
-            Request::Lookup { x, y } => self.lookup(*x, *y),
-            Request::LookupBatch { points } => self.lookup_batch(points),
+            Request::Lookup { x, y } => self.lookup_with(*x, *y, false),
+            Request::LookupBatch { points } => self.lookup_batch(request, points),
             Request::RangeQuery { rect } => self.range_query(rect),
             Request::Ingest { x, y, group, label } => self.ingest(*x, *y, *group, *label),
             Request::IngestBatch { points } => self.ingest_batch(points),
@@ -384,7 +364,9 @@ impl QueryService {
             Request::RebuildCommit => self.rebuild_commit(),
             Request::RebuildAbort => self.rebuild_abort(),
             Request::Metrics => self.metrics(),
-            Request::Health => self.health(),
+            Request::Health => Response::Health {
+                health: Box::new(self.health_body()),
+            },
         }
     }
 
@@ -432,7 +414,7 @@ impl QueryService {
     #[inline(never)]
     fn sampled_lookup(&mut self, x: f64, y: f64) -> Response {
         let started = Instant::now();
-        let response = self.lookup(x, y);
+        let response = self.lookup_with(x, y, false);
         let nanos = saturating_nanos(started.elapsed());
         let pend = self.take_pending();
         let obs = self.obs.as_ref().expect("dispatch checked obs");
@@ -601,19 +583,37 @@ impl QueryService {
         })
     }
 
-    /// [`Self::fanout`] of protocol requests to their remote slots, with
-    /// exactly the telemetry of [`Self::remote_dispatch`].
-    fn forward_all(&self, jobs: &[(usize, Request)]) -> Vec<(usize, Response)> {
-        self.fanout(
-            jobs,
-            |backend, request| backend.dispatch(request),
-            |shard, response, nanos| self.account(shard, response, nanos),
-        )
+    /// One request answered by one slot: a local slot answers from this
+    /// clone's reader through [`LocalShard::read`], any other slot
+    /// through [`Self::remote_dispatch`].
+    fn answer(&mut self, shard: usize, request: &Request) -> Response {
+        match &mut self.slots[shard] {
+            ShardSlot::Local(reader) => {
+                let (index, generation) = reader.snapshot_with_generation();
+                LocalShard::read(index, generation, request)
+            }
+            ShardSlot::Remote { .. } => self.remote_dispatch(shard, request),
+        }
     }
 
-    #[inline]
-    fn lookup(&mut self, x: f64, y: f64) -> Response {
-        self.lookup_with(x, y, false)
+    /// Answers each `(shard, request)` job on its slot and pairs every
+    /// answer with its slot index: local slots first, through
+    /// [`Self::answer`], then the rest through [`Self::fanout`] with
+    /// exactly the telemetry of [`Self::remote_dispatch`].
+    fn scatter(&mut self, jobs: Vec<(usize, Request)>) -> Vec<(usize, Response)> {
+        let (local, remote): (Vec<_>, Vec<_>) = jobs
+            .into_iter()
+            .partition(|(shard, _)| matches!(self.slots[*shard], ShardSlot::Local(_)));
+        let mut answers: Vec<(usize, Response)> = local
+            .into_iter()
+            .map(|(shard, request)| (shard, self.answer(shard, &request)))
+            .collect();
+        answers.extend(self.fanout(
+            &remote,
+            |backend, request| backend.dispatch(request),
+            |shard, response, nanos| self.account(shard, response, nanos),
+        ));
+        answers
     }
 
     /// Point lookup. `count_errors` additionally bumps the per-code
@@ -658,88 +658,52 @@ impl QueryService {
                 if count_errors {
                     self.count_error(ErrorCode::OutOfBounds);
                 }
-                Response::error(
-                    ErrorCode::OutOfBounds,
-                    format!("point ({x}, {y}) is outside the served map bounds"),
-                )
+                LocalShard::out_of_bounds(x, y)
             }
         }
     }
 
-    fn lookup_batch(&mut self, points: &[WirePoint]) -> Response {
-        // Single local shard: feed the whole batch through the frozen
-        // index's buffer-reusing batch path.
+    fn lookup_batch(&mut self, request: &Request, points: &[WirePoint]) -> Response {
+        // One slot owns every point, so it answers the batch as sent.
         if self.slots.len() == 1 {
-            if let ShardSlot::Local(_) = self.slots[0] {
-                self.points.clear();
-                self.points
-                    .extend(points.iter().map(|p| Point::new(p.x, p.y)));
-                let ShardSlot::Local(reader) = &mut self.slots[0] else {
-                    unreachable!("checked above");
-                };
-                let index = reader.snapshot();
-                return match index.lookup_batch(&self.points, &mut self.decisions) {
-                    Ok(()) => Response::Decisions {
-                        decisions: self.decisions.iter().map(|&d| d.into()).collect(),
-                    },
-                    Err(e) => Response::error(ErrorCode::OutOfBounds, e.to_string()),
-                };
-            }
+            return self.answer(0, request);
         }
-        // Scatter-gather: local points answer inline, remote points are
-        // bucketed per shard and forwarded as sub-batches, and every
-        // answer lands back at its original batch position.
-        let mut out: Vec<Option<DecisionBody>> = vec![None; points.len()];
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
+        // Scatter-gather: each slot answers the sub-batch of the points
+        // it owns, and the answers are read back in batch order.
+        let mut owners: Vec<usize> = Vec::with_capacity(points.len());
+        let mut subs: Vec<Vec<WirePoint>> = vec![Vec::new(); self.slots.len()];
         for (i, wp) in points.iter().enumerate() {
-            let p = Point::new(wp.x, wp.y);
-            let shard = if self.slots.len() == 1 {
-                Some(0)
-            } else {
-                self.topology.shard_of(&p)
+            let Some(shard) = self.topology.shard_of(&Point::new(wp.x, wp.y)) else {
+                return LocalShard::batch_out_of_bounds(i, wp);
             };
-            let Some(shard) = shard else {
-                return batch_oob(i, wp);
-            };
-            match &mut self.slots[shard] {
-                ShardSlot::Local(reader) => match reader.snapshot().lookup(&p) {
-                    Some(d) => out[i] = Some(d.into()),
-                    None => return batch_oob(i, wp),
-                },
-                ShardSlot::Remote { .. } => buckets[shard].push(i),
-            }
+            owners.push(shard);
+            subs[shard].push(*wp);
         }
-        // The per-shard sub-batches go through `fanout`: in-process
-        // slots answer inline, transport-backed ones overlap their
-        // round-trips.
-        let jobs: Vec<(usize, Request)> = buckets
-            .iter()
+        let sent: Vec<usize> = subs.iter().map(Vec::len).collect();
+        let jobs: Vec<(usize, Request)> = subs
+            .into_iter()
             .enumerate()
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|(shard, bucket)| {
-                let sub: Vec<WirePoint> = bucket.iter().map(|&i| points[i]).collect();
-                (shard, Request::LookupBatch { points: sub })
-            })
+            .filter(|(_, sub)| !sub.is_empty())
+            .map(|(shard, points)| (shard, Request::LookupBatch { points }))
             .collect();
-        for (shard, response) in self.forward_all(&jobs) {
-            let bucket = &buckets[shard];
+        let mut answers: Vec<std::vec::IntoIter<DecisionBody>> =
+            sent.iter().map(|_| Vec::new().into_iter()).collect();
+        for (shard, response) in self.scatter(jobs) {
             match response {
-                Response::Decisions { decisions } if decisions.len() == bucket.len() => {
-                    for (&i, d) in bucket.iter().zip(decisions) {
-                        out[i] = Some(d);
-                    }
+                Response::Decisions { decisions } if decisions.len() == sent[shard] => {
+                    answers[shard] = decisions.into_iter();
                 }
                 Response::Error { error } if error.code == ErrorCode::OutOfBounds => {
-                    // The remote names the offender by its *sub-batch*
+                    // The slot names the offender by its *sub-batch*
                     // index; re-localize to the original batch position
-                    // by probing the bucket point-wise.
-                    for &i in bucket {
-                        let wp = &points[i];
-                        if matches!(
-                            self.remote_dispatch(shard, &Request::Lookup { x: wp.x, y: wp.y }),
-                            Response::Error { .. }
-                        ) {
-                            return batch_oob(i, wp);
+                    // by probing the slot's points one by one.
+                    for (i, wp) in points.iter().enumerate() {
+                        if owners[i] == shard
+                            && self
+                                .answer(shard, &Request::Lookup { x: wp.x, y: wp.y })
+                                .is_error()
+                        {
+                            return LocalShard::batch_out_of_bounds(i, wp);
                         }
                     }
                     return Response::Error { error };
@@ -754,9 +718,13 @@ impl QueryService {
             }
         }
         Response::Decisions {
-            decisions: out
-                .into_iter()
-                .map(|d| d.expect("every routed point was answered"))
+            decisions: owners
+                .iter()
+                .map(|&shard| {
+                    answers[shard]
+                        .next()
+                        .expect("every routed point was answered")
+                })
                 .collect(),
         }
     }
@@ -771,109 +739,71 @@ impl QueryService {
         )
     }
 
-    /// The `Ingested` acknowledgement: this request's accept count, the
-    /// coordinator buffer's occupancy, and the newest generation readable
-    /// in-process — local shards and the in-process members of replica
-    /// slots (remote generations would cost a round-trip per write; they
-    /// move in lockstep under the two-phase barrier anyway).
-    fn ingested(&self, state: &IngestState, accepted: u64) -> Response {
-        let generation = self
-            .topology
+    /// The newest generation readable in-process: local shards and the
+    /// in-process members of replica slots. Remote generations would
+    /// cost a round-trip, and they move in lockstep under the two-phase
+    /// barrier anyway.
+    fn in_process_generation(&self) -> u64 {
+        self.topology
             .backends()
             .iter()
             .filter_map(|backend| backend.in_process_generation())
             .max()
-            .unwrap_or(0);
+            .unwrap_or(0)
+    }
+
+    /// The `Ingested` acknowledgement: this request's accept count, the
+    /// coordinator buffer's occupancy and the in-process generation.
+    fn ingested(&self, state: &IngestState, accepted: u64) -> Response {
         Response::Ingested {
             accepted,
             buffered: state.buffer.occupancy(),
-            generation,
+            generation: self.in_process_generation(),
         }
     }
 
-    /// One streamed observation. Out-of-bounds points are a structured
-    /// error (mirroring `Lookup`); accepted points land in the
-    /// coordinator's buffer *and* are forwarded to the owning remote
-    /// shard so its own occupancy and drift telemetry see the traffic.
-    /// The forward is advisory — the coordinator's log is the one
-    /// source of truth for maintenance, so a shard without ingestion
-    /// configured simply declines without affecting the accept.
-    fn ingest(&mut self, x: f64, y: f64, group: u32, label: bool) -> Response {
-        let Some(state) = self.ingest.as_ref().map(Arc::clone) else {
+    /// One streamed observation into the coordinator's buffer.
+    /// Out-of-bounds points are a structured error (mirroring `Lookup`).
+    /// Shards never see the point: the coordinator's log is the one
+    /// source of truth, shipped to them by the next maintenance rebuild.
+    fn ingest(&self, x: f64, y: f64, group: u32, label: bool) -> Response {
+        let Some(state) = &self.ingest else {
             return Self::ingest_unavailable();
         };
         if state.buffer.accept(x, y, group, label).is_none() {
-            return Response::error(
-                ErrorCode::OutOfBounds,
-                format!("point ({x}, {y}) is outside the served map bounds"),
-            );
+            return LocalShard::out_of_bounds(x, y);
         }
-        if self.slots.len() > 1 {
-            if let Some(shard) = self.topology.shard_of(&Point::new(x, y)) {
-                if matches!(self.slots[shard], ShardSlot::Remote { .. }) {
-                    let _ = self.remote_dispatch(shard, &Request::Ingest { x, y, group, label });
-                }
-            }
-        }
-        self.ingested(&state, 1)
+        self.ingested(state, 1)
     }
 
-    /// The bulk write path: accepts in request order (so the global
-    /// sequence matches the batch), buckets remote-owned points per
-    /// shard and forwards the sub-batches — the same scatter shape as
-    /// [`Self::lookup_batch`], minus the gather (the coordinator's own
-    /// buffer already holds every point). Out-of-bounds points are
-    /// skipped, not fatal: `accepted` reports how many landed and the
-    /// rejected tally is scraped via the ingest telemetry.
-    fn ingest_batch(&mut self, points: &[IngestBody]) -> Response {
-        let Some(state) = self.ingest.as_ref().map(Arc::clone) else {
+    /// The bulk write path: accepts in request order, so the global
+    /// sequence matches the batch. Out-of-bounds points are skipped, not
+    /// fatal: `accepted` reports how many landed and the rejected tally
+    /// is scraped via the ingest telemetry.
+    fn ingest_batch(&self, points: &[IngestBody]) -> Response {
+        let Some(state) = &self.ingest else {
             return Self::ingest_unavailable();
         };
-        let mut accepted = 0u64;
-        let mut buckets: Vec<Vec<IngestBody>> = vec![Vec::new(); self.slots.len()];
-        for b in points {
-            if state.buffer.accept(b.x, b.y, b.group, b.label).is_none() {
-                continue;
-            }
-            accepted += 1;
-            if self.slots.len() > 1 {
-                if let Some(shard) = self.topology.shard_of(&Point::new(b.x, b.y)) {
-                    if matches!(self.slots[shard], ShardSlot::Remote { .. }) {
-                        buckets[shard].push(*b);
-                    }
-                }
-            }
-        }
-        for (shard, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let _ = self.remote_dispatch(
-                shard,
-                &Request::IngestBatch {
-                    points: bucket.clone(),
-                },
-            );
-        }
-        self.ingested(&state, accepted)
+        let accepted = points
+            .iter()
+            .filter(|b| state.buffer.accept(b.x, b.y, b.group, b.label).is_some())
+            .count();
+        self.ingested(state, accepted as u64)
     }
 
-    fn range_query(&mut self, rect: &fsi_proto::WireRect) -> Response {
-        let query = match Rect::new(rect.min_x, rect.min_y, rect.max_x, rect.max_y) {
+    fn range_query(&mut self, rect: &WireRect) -> Response {
+        let query = match LocalShard::query_rect(rect) {
             Ok(query) => query,
-            Err(e) => return Response::error(ErrorCode::MalformedRequest, e.to_string()),
+            Err(error) => return error,
         };
-        let shards = self.topology.covering(&query);
+        let jobs: Vec<(usize, Request)> = self
+            .topology
+            .covering(&query)
+            .into_iter()
+            .map(|shard| (shard, Request::RangeQuery { rect: *rect }))
+            .collect();
         let mut ids: Vec<usize> = Vec::new();
-        let mut jobs: Vec<(usize, Request)> = Vec::new();
-        for shard in shards {
-            if let ShardSlot::Local(reader) = &mut self.slots[shard] {
-                ids.extend(reader.snapshot().range_query(&query));
-            } else {
-                jobs.push((shard, Request::RangeQuery { rect: *rect }));
-            }
-        }
-        for (shard, response) in self.forward_all(&jobs) {
+        for (shard, response) in self.scatter(jobs) {
             match response {
                 Response::Regions { ids: shard_ids } => ids.extend(shard_ids),
                 Response::Error { error } => return Response::Error { error },
@@ -892,61 +822,41 @@ impl QueryService {
 
     fn stats(&mut self) -> Response {
         self.flush_pending();
-        let mut per_shard: Vec<Option<ShardStatsBody>> = Vec::with_capacity(self.slots.len());
-        let mut jobs: Vec<(usize, Request)> = Vec::new();
-        for shard in 0..self.slots.len() {
-            let d = self.topology.backends()[shard].descriptor();
-            if let ShardSlot::Local(reader) = &mut self.slots[shard] {
-                let (index, generation) = reader.snapshot_with_generation();
-                per_shard.push(Some(ShardStatsBody {
-                    kind: d.kind.to_string(),
-                    addr: d.addr,
-                    generation,
-                    num_leaves: index.num_leaves(),
-                    heap_bytes: index.heap_bytes(),
-                    backend: index.backend_name().to_string(),
-                    unreachable: None,
-                    error: None,
-                }));
-            } else {
-                per_shard.push(None);
-                jobs.push((shard, Request::Stats));
-            }
-        }
-        for (shard, response) in self.forward_all(&jobs) {
-            let d = self.topology.backends()[shard].descriptor();
-            per_shard[shard] = Some(match response {
-                Response::Stats { stats } => ShardStatsBody {
-                    kind: d.kind.to_string(),
-                    addr: d.addr,
-                    generation: stats.generations.first().copied().unwrap_or(0),
-                    num_leaves: stats.num_leaves,
-                    heap_bytes: stats.heap_bytes,
-                    backend: stats.backend,
-                    unreachable: None,
-                    error: None,
-                },
+        let jobs: Vec<(usize, Request)> = (0..self.slots.len())
+            .map(|shard| (shard, Request::Stats))
+            .collect();
+        let mut answers = self.scatter(jobs);
+        answers.sort_unstable_by_key(|&(shard, _)| shard);
+        let per_shard: Vec<ShardStatsBody> = answers
+            .into_iter()
+            .map(|(shard, response)| {
                 // Graceful degradation: a dead shard marks its own row
                 // instead of failing the whole scatter-gather, so the
                 // live part of the fleet still reports.
-                other => ShardStatsBody {
+                let (stats, error) = match response {
+                    Response::Stats { stats } => (Some(stats), None),
+                    Response::Error { error } => (None, Some(error.message)),
+                    _ => (
+                        None,
+                        Some(format!(
+                            "shard {shard} answered an unexpected stats response"
+                        )),
+                    ),
+                };
+                let d = self.topology.backends()[shard].descriptor();
+                ShardStatsBody {
                     kind: d.kind.to_string(),
                     addr: d.addr,
-                    generation: 0,
-                    num_leaves: 0,
-                    heap_bytes: 0,
-                    backend: "unreachable".to_string(),
-                    unreachable: Some(true),
-                    error: Some(match other {
-                        Response::Error { error } => error.message,
-                        _ => format!("shard {shard} answered an unexpected stats response"),
-                    }),
-                },
-            });
-        }
-        let per_shard: Vec<ShardStatsBody> = per_shard
-            .into_iter()
-            .map(|body| body.expect("every shard slot answered stats"))
+                    generation: stats
+                        .as_ref()
+                        .map_or(0, |s| s.generations.first().copied().unwrap_or(0)),
+                    num_leaves: stats.as_ref().map_or(0, |s| s.num_leaves),
+                    heap_bytes: stats.as_ref().map_or(0, |s| s.heap_bytes),
+                    backend: stats.map_or_else(|| "unreachable".to_string(), |s| s.backend),
+                    unreachable: error.is_some().then_some(true),
+                    error,
+                }
+            })
             .collect();
         let generations = per_shard.iter().map(|s| s.generation).collect();
         // Shard-0 convention for the flat summary fields, kept from the
@@ -1003,13 +913,6 @@ impl QueryService {
         HealthBody { shards }
     }
 
-    /// Answer to [`Request::Health`].
-    fn health(&mut self) -> Response {
-        Response::Health {
-            health: Box::new(self.health_body()),
-        }
-    }
-
     /// Answer to [`Request::Metrics`]: the worker-merged snapshot of
     /// this service's registry, with each remote shard's own snapshot
     /// scatter-gathered into
@@ -1023,7 +926,7 @@ impl QueryService {
                 .filter(|&shard| matches!(self.slots[shard], ShardSlot::Remote { .. }))
                 .map(|shard| (shard, Request::Metrics))
                 .collect();
-            for (shard, response) in self.forward_all(&jobs) {
+            for (shard, response) in self.scatter(jobs) {
                 if let Response::Metrics { metrics } = response {
                     body.shards[shard].remote = Some(metrics);
                 }
@@ -1052,12 +955,7 @@ impl QueryService {
             return MetricsBody::empty();
         };
         let fold = MetricsFold::collect(obs.registry(), self.slots.len());
-        let mut generation = fold.generation;
-        for backend in self.topology.backends() {
-            if let Some(local) = backend.as_local() {
-                generation = generation.max(local.handle().generation());
-            }
-        }
+        let generation = fold.generation.max(self.in_process_generation());
         // A scrape re-measures drift so the gauge is live even when no
         // maintenance thread is polling; the stored bits are the
         // fallback if the baseline shape ever disagrees mid-swap.
@@ -1350,13 +1248,22 @@ impl QueryService {
     /// the merge is deterministic, so every shard that receives the
     /// same `(spec, delta)` stages a bit-identical index. The task the
     /// labels are interpreted under rides in `spec.task`, so a shard
-    /// needs no ingestion configuration of its own to participate.
+    /// needs no ingestion configuration of its own to participate. An
+    /// ingesting service is a coordinator that owns its own log, so it
+    /// refuses a delta with [`ErrorCode::RebuildUnavailable`].
     fn rebuild_prepare(
         &self,
         request: &Request,
         spec: &PipelineSpec,
         delta: Option<&[IngestBody]>,
     ) -> Response {
+        if self.ingest.is_some() && delta.is_some() {
+            return Response::error(
+                ErrorCode::RebuildUnavailable,
+                "an ingesting service coordinates its own ingest log; \
+                 it cannot merge a delta shipped by another coordinator",
+            );
+        }
         let _barrier = self.topology.lock_barrier();
         let log: Vec<IngestRecord> = delta
             .unwrap_or_default()
@@ -1368,22 +1275,10 @@ impl QueryService {
             Ok(trained) => trained,
             Err(response) => return response,
         };
-        // This shard's own drift baseline moves with a delta commit:
-        // stage the refreshed statistics alongside the index.
-        let pending = match (&self.ingest, delta) {
-            (Some(state), Some(_)) => match baseline_stats(&trained.dataset, &state.task) {
-                Ok(baseline) => Some(baseline),
-                Err(e) => return Response::error(ErrorCode::Internal, e.to_string()),
-            },
-            _ => None,
-        };
         let staged = match self.prepare_all(&trained.index, request) {
             Ok(staged) => staged,
             Err(response) => return response,
         };
-        if let Some(state) = &self.ingest {
-            *state.pending.lock().expect("pending lock poisoned") = pending;
-        }
         // The staged footprint reported back: a single slot's own
         // (clipped) footprint, the global index's otherwise.
         let (num_leaves, heap_bytes) = match staged.as_slice() {
@@ -1402,13 +1297,9 @@ impl QueryService {
 
     /// Abandons any staged rebuild on every slot. Idempotent: aborting
     /// with nothing staged changes nothing, so it always answers
-    /// [`Response::Aborted`]. A baseline staged by a delta prepare is
-    /// dropped with the index it described.
+    /// [`Response::Aborted`].
     fn rebuild_abort(&self) -> Response {
         let _barrier = self.topology.lock_barrier();
-        if let Some(state) = &self.ingest {
-            *state.pending.lock().expect("pending lock poisoned") = None;
-        }
         self.abort_all();
         Response::Aborted
     }
@@ -1418,23 +1309,10 @@ impl QueryService {
     /// [`ErrorCode::NotPrepared`].
     fn rebuild_commit(&self) -> Response {
         let _barrier = self.topology.lock_barrier();
-        let generation = match self.commit_all() {
-            Ok(generation) => generation,
-            Err(response) => return response,
-        };
-        // A delta prepare staged a refreshed drift baseline; committing
-        // the merged index makes it current. The local buffer and log
-        // are superseded — every point this shard accepted was also
-        // logged by the coordinator whose delta just published.
-        if let Some(state) = &self.ingest {
-            if let Some(refreshed) = state.pending.lock().expect("pending lock poisoned").take() {
-                *state.baseline.lock().expect("baseline lock poisoned") = refreshed;
-                state.buffer.drain();
-                state.log.lock().expect("ingest log lock poisoned").clear();
-                state.store_drift(0.0);
-            }
+        match self.commit_all() {
+            Ok(generation) => Response::Committed { generation },
+            Err(response) => response,
         }
-        Response::Committed { generation }
     }
 }
 
@@ -1467,9 +1345,8 @@ mod tests {
     use super::*;
     use crate::topology::{BackendSpec, ShardBackend, ShardDescriptor, TopologySpec};
     use crate::IndexHandle;
-    use fsi_geo::{Grid, Partition};
+    use fsi_geo::{Grid, Partition, Rect};
     use fsi_pipeline::ModelSnapshot;
-    use fsi_proto::WireRect;
     use std::sync::{mpsc, Mutex};
 
     fn index() -> FrozenIndex {
@@ -2280,9 +2157,9 @@ mod tests {
         let mut svc = mixed(Some(dataset()))
             .with_ingest(fsi_pipeline::TaskSpec::act())
             .unwrap();
-        // One point per quadrant: two land on local slots, two are
-        // forwarded (advisorily) to the stub remotes, which decline —
-        // the coordinator's buffer still accepts all four.
+        // One point per quadrant, two of them in the stub remotes'
+        // quadrants: the coordinator's buffer accepts all four and no
+        // shard sees them.
         let quadrants = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)];
         for (i, (x, y)) in quadrants.into_iter().enumerate() {
             match svc.dispatch(&Request::Ingest {

@@ -27,7 +27,8 @@ use crate::frozen::FrozenIndex;
 use crate::handle::{IndexHandle, IndexReader};
 use fsi_geo::{Point, Rect};
 use fsi_proto::{
-    ErrorCode, HealthBody, MetricsBody, PreparedBody, Request, Response, ShardHealthBody, StatsBody,
+    ErrorCode, HealthBody, MetricsBody, PreparedBody, Request, Response, ShardHealthBody,
+    StatsBody, WirePoint, WireRect,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -85,8 +86,10 @@ pub trait ShardBackend: Send + Sync {
         self.dispatch(request)
     }
 
-    /// Downcast hook for coordinators: local shards expose their
-    /// readers; remote shards return `None`.
+    /// Downcast hook for coordinators: a [`LocalShard`] exposes itself
+    /// so a coordinator can read its handle directly. Only `LocalShard`
+    /// answers `Some`; wrappers never forward it, because a read that
+    /// went past a wrapper would skip whatever the wrapper adds.
     fn as_local(&self) -> Option<&LocalShard> {
         None
     }
@@ -97,18 +100,6 @@ pub trait ShardBackend: Send + Sync {
     /// replica set. `None` for backends only reachable remotely.
     fn in_process_generation(&self) -> Option<u64> {
         self.as_local().map(|local| local.handle().generation())
-    }
-
-    /// The backend itself, when it *is* a plain in-process
-    /// [`LocalShard`] — not a wrapper forwarding to one. Unlike
-    /// [`ShardBackend::as_local`] (which wrappers forward so topology
-    /// compilation can reach the underlying handle), wrappers must
-    /// leave this at the `None` default: the resilience layer uses it
-    /// to dispatch reads statically past the vtable on its healthy
-    /// fast path, and devirtualizing through a wrapper would silently
-    /// bypass whatever the wrapper injects.
-    fn as_plain_local(&self) -> Option<&LocalShard> {
-        None
     }
 
     /// Transport-level telemetry for the metrics scrape; `None` for
@@ -222,54 +213,41 @@ impl LocalShard {
             staged: Mutex::new(None),
         }
     }
-}
 
-impl ShardBackend for LocalShard {
-    /// Serves directly off the live index — the same answers (bit for
-    /// bit, error text included) a [`crate::QueryService`] gives, minus
-    /// the telemetry and rebuild layers, so local-vs-remote differential
-    /// tests can compare backends uniformly.
-    #[inline]
-    fn dispatch(&self, request: &Request) -> Response {
-        let index = self.handle.load();
+    /// Answers `request` from `index`, serving at `generation`: the one
+    /// place an in-process read is answered, error text included.
+    /// [`ShardBackend::dispatch`] calls it with a snapshot and generation
+    /// read under one lock, and a [`crate::QueryService`]'s local slots
+    /// call it with their reader's snapshot, so every serving shape
+    /// answers bit for bit alike. Writes and rebuilds are refused; the
+    /// coordinator's commit and abort reach the staging slot through
+    /// `dispatch`.
+    pub(crate) fn read(index: &FrozenIndex, generation: u64, request: &Request) -> Response {
         match request {
             Request::Lookup { x, y } => match index.lookup(&Point::new(*x, *y)) {
                 Some(d) => Response::Decision { decision: d.into() },
-                None => Response::error(
-                    ErrorCode::OutOfBounds,
-                    format!("point ({x}, {y}) is outside the served map bounds"),
-                ),
+                None => Self::out_of_bounds(*x, *y),
             },
             Request::LookupBatch { points } => {
                 let mut decisions = Vec::with_capacity(points.len());
                 for (i, wp) in points.iter().enumerate() {
                     match index.lookup(&Point::new(wp.x, wp.y)) {
                         Some(d) => decisions.push(d.into()),
-                        None => {
-                            return Response::error(
-                                ErrorCode::OutOfBounds,
-                                format!(
-                                    "point #{i} at ({}, {}) is outside the index bounds",
-                                    wp.x, wp.y
-                                ),
-                            )
-                        }
+                        None => return Self::batch_out_of_bounds(i, wp),
                     }
                 }
                 Response::Decisions { decisions }
             }
-            Request::RangeQuery { rect } => {
-                match Rect::new(rect.min_x, rect.min_y, rect.max_x, rect.max_y) {
-                    Ok(query) => Response::Regions {
-                        ids: index.range_query(&query),
-                    },
-                    Err(e) => Response::error(ErrorCode::MalformedRequest, e.to_string()),
-                }
-            }
+            Request::RangeQuery { rect } => match Self::query_rect(rect) {
+                Ok(query) => Response::Regions {
+                    ids: index.range_query(&query),
+                },
+                Err(error) => error,
+            },
             Request::Stats => Response::Stats {
                 stats: Box::new(StatsBody {
                     shards: 1,
-                    generations: vec![self.handle.generation()],
+                    generations: vec![generation],
                     num_leaves: index.num_leaves(),
                     heap_bytes: index.heap_bytes(),
                     backend: index.backend_name().to_string(),
@@ -292,16 +270,59 @@ impl ShardBackend for LocalShard {
                     }],
                 }),
             },
-            Request::Rebuild { .. } | Request::RebuildPrepare { .. } => Response::error(
+            // A bare local shard has no recorder of its own — its
+            // telemetry is what the coordinating service records about
+            // it — so the scrape answer is the all-zero snapshot.
+            Request::Metrics => Response::Metrics {
+                metrics: Box::new(MetricsBody::empty()),
+            },
+            Request::Rebuild { .. }
+            | Request::RebuildPrepare { .. }
+            | Request::RebuildCommit
+            | Request::RebuildAbort
+            | Request::Ingest { .. }
+            | Request::IngestBatch { .. } => Response::error(
                 ErrorCode::RebuildUnavailable,
-                "local shard backends are rebuilt by their coordinator",
+                "local shard backends are written and rebuilt by their coordinator",
             ),
-            // Same story for the write path: the coordinator owns the
-            // delta buffer; a bare local shard has nothing to append to.
-            Request::Ingest { .. } | Request::IngestBatch { .. } => Response::error(
-                ErrorCode::RebuildUnavailable,
-                "local shard backends ingest through their coordinator",
-            ),
+        }
+    }
+
+    /// The error a point lookup at `(x, y)` outside the served bounds
+    /// answers.
+    #[cold]
+    pub(crate) fn out_of_bounds(x: f64, y: f64) -> Response {
+        Response::error(
+            ErrorCode::OutOfBounds,
+            format!("point ({x}, {y}) is outside the served map bounds"),
+        )
+    }
+
+    /// The error a batch answers for its out-of-bounds point `wp`, named
+    /// by its position `index` within the batch.
+    #[cold]
+    pub(crate) fn batch_out_of_bounds(index: usize, wp: &WirePoint) -> Response {
+        let error = ServeError::PointOutOfBounds {
+            index,
+            point: (wp.x, wp.y),
+        };
+        Response::error(ErrorCode::OutOfBounds, error.to_string())
+    }
+
+    /// The map rectangle a range query asks for, or the
+    /// `malformed_request` error a degenerate one answers.
+    pub(crate) fn query_rect(rect: &WireRect) -> Result<Rect, Response> {
+        Rect::new(rect.min_x, rect.min_y, rect.max_x, rect.max_y)
+            .map_err(|e| Response::error(ErrorCode::MalformedRequest, e.to_string()))
+    }
+}
+
+impl ShardBackend for LocalShard {
+    /// Commit and abort reach the staging slot; every other request is
+    /// `LocalShard::read` over the live snapshot and its generation.
+    #[inline]
+    fn dispatch(&self, request: &Request) -> Response {
+        match request {
             Request::RebuildCommit => match self.commit() {
                 Ok(generation) => Response::Committed { generation },
                 Err(e) => Response::error(ErrorCode::NotPrepared, e.to_string()),
@@ -310,12 +331,10 @@ impl ShardBackend for LocalShard {
                 self.abort();
                 Response::Aborted
             }
-            // A bare local shard has no recorder of its own — its
-            // telemetry is what the coordinating service records about
-            // it — so the scrape answer is the all-zero snapshot.
-            Request::Metrics => Response::Metrics {
-                metrics: Box::new(MetricsBody::empty()),
-            },
+            _ => {
+                let (index, generation) = self.handle.load_with_generation();
+                Self::read(&index, generation, request)
+            }
         }
     }
 
@@ -347,10 +366,6 @@ impl ShardBackend for LocalShard {
     }
 
     fn as_local(&self) -> Option<&LocalShard> {
-        Some(self)
-    }
-
-    fn as_plain_local(&self) -> Option<&LocalShard> {
         Some(self)
     }
 }
@@ -942,6 +957,49 @@ mod tests {
             Response::Error { error } => assert_eq!(error.code, ErrorCode::NotPrepared),
             other => panic!("expected error, got {other:?}"),
         }
+    }
+
+    /// A `Stats` answer pairs its generation with that generation's own
+    /// index, even while a publisher swaps indexes of different sizes.
+    #[test]
+    fn stats_never_pair_a_generation_with_another_index() {
+        let grid = Grid::unit(8).unwrap();
+        let partition = Partition::uniform(&grid, 2, 4).unwrap();
+        let snapshot = ModelSnapshot::uniform(8, 0.5).unwrap();
+        let large = FrozenIndex::from_partition(&partition, &grid, &snapshot).unwrap();
+        let small = index();
+        let (small_leaves, large_leaves) = (small.num_leaves(), large.num_leaves());
+        assert_ne!(small_leaves, large_leaves);
+        // Odd generations serve `small`, even ones `large`.
+        let shard = LocalShard::new(IndexHandle::new(small.clone()));
+        let handle = shard.handle().clone();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let torn = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut next = [&large, &small].into_iter().cycle();
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    handle.publish(next.next().unwrap().clone());
+                }
+            });
+            let mut torn = 0;
+            for _ in 0..200_000 {
+                let Response::Stats { stats } = shard.dispatch(&Request::Stats) else {
+                    panic!("expected stats");
+                };
+                let want = if stats.generations[0] % 2 == 1 {
+                    small_leaves
+                } else {
+                    large_leaves
+                };
+                torn += usize::from(stats.num_leaves != want);
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            torn
+        });
+        assert_eq!(
+            torn, 0,
+            "answers that paired a generation with another index"
+        );
     }
 
     #[test]

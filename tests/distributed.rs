@@ -1037,6 +1037,114 @@ fn stats_and_metrics_degrade_gracefully_when_a_shard_dies() {
     shard1.shutdown();
 }
 
+/// Ingestion stays on the coordinator. Points streamed into the half a
+/// real HTTP shard serves never reach that shard: its own scrape shows
+/// no ingest requests and no errors. And an ingesting service, which
+/// owns its log, refuses a `RebuildPrepare` that ships a delta, stages
+/// nothing and keeps serving its generation.
+#[test]
+fn ingestion_stays_on_the_coordinator() {
+    let d = dataset();
+    let policy = MaintenanceSpec {
+        drift_threshold: 1e18,
+        max_buffered: 1 << 20,
+        max_staleness_ms: 0,
+        poll_interval_ms: 5,
+    };
+    let serving = Pipeline::on(&d)
+        .task(TaskSpec::act())
+        .method(Method::FairKd)
+        .height(4)
+        .run()
+        .unwrap()
+        .serve_with_ingest(policy)
+        .unwrap();
+    let halves = TopologySpec::local(1, 2);
+    let shard =
+        fsi::HttpServer::bind(serving.service_shard(&halves, 1).unwrap(), "127.0.0.1:0").unwrap();
+    let spec = TopologySpec {
+        rows: 1,
+        cols: 2,
+        shards: vec![
+            BackendSpec::Local,
+            BackendSpec::Http(shard.addr().to_string()),
+        ],
+    };
+    let mut coordinator = serving.service_over(&spec).unwrap();
+    let b = *d.grid().bounds();
+    // Ten points in the east half, the one slot 1 serves.
+    let east = |k: u32| {
+        let f = f64::from(k) / 10.0;
+        IngestBody::new(
+            b.min_x + (0.6 + 0.3 * f) * b.width(),
+            b.min_y + (0.05 + 0.9 * f) * b.height(),
+            k % 2,
+            k.is_multiple_of(3),
+        )
+    };
+    for k in 0..10 {
+        let p = east(k);
+        let request = Request::Ingest {
+            x: p.x,
+            y: p.y,
+            group: p.group,
+            label: p.label,
+        };
+        match coordinator.dispatch(&request) {
+            Response::Ingested { accepted, .. } => assert_eq!(accepted, 1),
+            other => panic!("expected an ingested ack, got {other:?}"),
+        }
+    }
+    let batch = Request::IngestBatch {
+        points: (0..10).map(east).collect(),
+    };
+    match coordinator.dispatch(&batch) {
+        Response::Ingested {
+            accepted, buffered, ..
+        } => assert_eq!((accepted, buffered), (10, 20)),
+        other => panic!("expected an ingested ack, got {other:?}"),
+    }
+    let Response::Metrics { metrics } = coordinator.dispatch(&Request::Metrics) else {
+        panic!("expected metrics");
+    };
+    let remote = metrics.shards[1]
+        .remote
+        .as_ref()
+        .expect("the shard's own scrape is gathered");
+    assert_eq!(remote.count_for("ingest"), 0, "{remote:?}");
+    assert_eq!(remote.count_for("ingest_batch"), 0, "{remote:?}");
+    assert!(remote.errors.is_empty(), "{:?}", remote.errors);
+
+    let prepare = Request::RebuildPrepare {
+        spec: serving.spec().clone(),
+        delta: Some(vec![east(0)]),
+    };
+    match coordinator.dispatch(&prepare) {
+        Response::Error { error } => {
+            assert_eq!(error.code, fsi::ErrorCode::RebuildUnavailable, "{error:?}")
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    match coordinator.dispatch(&Request::RebuildCommit) {
+        Response::Error { error } => assert_eq!(error.code, fsi::ErrorCode::NotPrepared),
+        other => panic!("a refused prepare must stage nothing, got {other:?}"),
+    }
+    match coordinator.dispatch(&Request::Stats) {
+        Response::Stats { stats } => assert_eq!(stats.generations, vec![1, 1]),
+        other => panic!("expected stats, got {other:?}"),
+    }
+    let p = east(3);
+    let expected: DecisionBody = serving
+        .handle()
+        .load()
+        .lookup(&Point::new(p.x, p.y))
+        .unwrap()
+        .into();
+    let got = expect_decision(coordinator.dispatch(&Request::Lookup { x: p.x, y: p.y }));
+    assert_eq!(got, expected);
+    shard.shutdown();
+}
+
 /// A 2×2 topology whose every slot is `{"replicas":["local","local"]}`
 /// (the shape the end-to-end benchmark deploys) has no transport under
 /// any slot, so the coordinator answers its fan-outs inline on the

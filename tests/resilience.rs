@@ -285,6 +285,58 @@ fn kill_one_replica_mid_storm_answers_bit_identically_with_zero_errors() {
     }
 }
 
+/// A `ChaosShard` over an in-process `LocalShard` is a wrapper like any
+/// other: the coordinator of a 1×1 topology forwards to it instead of
+/// reading the shard underneath, so a downed switch fails the lookup
+/// rather than being skipped, and raising it serves again.
+#[test]
+fn chaos_over_a_local_shard_fails_reads_while_down() {
+    let d = dataset();
+    let index = Pipeline::on(&d)
+        .task(TaskSpec::act())
+        .method(Method::FairKd)
+        .height(4)
+        .run()
+        .unwrap()
+        .freeze()
+        .unwrap();
+    let spec = TopologySpec {
+        rows: 1,
+        cols: 1,
+        shards: vec![BackendSpec::Http("chaos:0".into())],
+    };
+    let switch = Mutex::new(None);
+    let topology = fsi::Topology::from_spec(&spec, index.clone(), |_: &str| {
+        let local = fsi::LocalShard::new(fsi::IndexHandle::new(index.clone()));
+        let chaos = fsi::ChaosShard::new(Box::new(local));
+        *switch.lock().unwrap() = Some(chaos.switch());
+        Ok(Box::new(chaos) as Box<dyn ShardBackend>)
+    })
+    .unwrap();
+    let switch = switch.into_inner().unwrap().expect("one slot");
+    let mut service = QueryService::new(topology);
+    let b = *d.grid().bounds();
+    let (x, y) = (b.min_x + 0.3 * b.width(), b.min_y + 0.6 * b.height());
+    switch.set_down(true);
+    match service.dispatch(&Request::Lookup { x, y }) {
+        Response::Error { error } => {
+            assert_eq!(error.code, fsi::ErrorCode::Internal);
+            assert!(
+                error.message.contains("chaos: replica is down"),
+                "{}",
+                error.message
+            );
+        }
+        other => panic!("a downed chaos slot must fail the read, got {other:?}"),
+    }
+    switch.set_down(false);
+    let expected: DecisionBody = index.lookup(&Point::new(x, y)).unwrap().into();
+    assert_eq!(
+        expect_decision(service.dispatch(&Request::Lookup { x, y })),
+        expected
+    );
+}
+
 /// The `Ingested` ack on a topology of in-process replica slots reports
 /// the live generation, read from the members' handles without a
 /// round-trip — not 0, as if every slot were remote.
