@@ -1,22 +1,21 @@
 //! The streaming-ingestion suite: what a live feed costs.
 //!
-//! `QueryService::with_ingest` adds a concurrent delta buffer, a
-//! cumulative ingest log, and a drift detector next to the frozen
-//! snapshot. This suite pins the three numbers that decide whether the
+//! `QueryService::with_ingest` adds the coordinator's accept-ordered
+//! ingest log and a drift detector next to the frozen snapshot. This suite pins the three numbers that decide whether the
 //! layer is deployable:
 //!
 //! * `dispatch_ingest_x{N}` — end-to-end `Request::Ingest` throughput:
-//!   locate + cell-sharded buffer accept + log append per point. Runs
-//!   under a deliberately small time budget (overridden below) because
-//!   every accepted point stays in the log until a rebuild drains it —
-//!   the budget bounds the bench's memory, not its precision.
+//!   locate + one locked log append (with its cell's count and label
+//!   sums) per point. Runs under a deliberately small time budget
+//!   (overridden below) because every accepted point stays in the log
+//!   for good — the budget bounds the bench's memory, not its precision.
 //! * `drift_poll_x{N}` — one background maintenance poll over `N`
 //!   buffered points with no trigger armed: the steady-state cost of
 //!   measuring subtree drift against the frozen `CellStats` baseline
 //!   (one summed-area fold plus a KD-shaped walk) on every poll tick.
 //! * `dispatch_lookup_live_x{N}` / `dispatch_lookup_frozen_x{N}` — the
 //!   ingest-while-serving twins: the same point sweep through a service
-//!   with a non-empty delta buffer and through a plain frozen service.
+//!   with a non-empty ingest log and through a plain frozen service.
 //!
 //! Before registering the criterion benches, the suite runs its own
 //! interleaved-median comparison of the two lookup twins and asserts
@@ -96,7 +95,7 @@ fn median(mut nanos: Vec<u128>) -> u128 {
 }
 
 /// The ≤ 1.10x acceptance gate: `rounds` interleaved timings of the
-/// same lookup sweep through the live (buffer non-empty) and frozen
+/// same lookup sweep through the live (log non-empty) and frozen
 /// services; medians discard scheduler outliers.
 fn assert_live_reads_unfrozen(
     live: &mut QueryService,
@@ -166,8 +165,8 @@ pub fn register(c: &mut Criterion, p: &Profile) {
     ));
 
     // Ingest throughput under a small fixed budget: each accepted point
-    // stays in the cumulative log until a rebuild drains it, so the
-    // budget (not the profile's) bounds how much the bench buffers.
+    // stays in the ingest log for good, so the budget (not the
+    // profile's) bounds how much the bench buffers.
     group
         .warm_up_time(Duration::from_millis(30))
         .measurement_time(Duration::from_millis(200));

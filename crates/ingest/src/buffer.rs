@@ -1,132 +1,120 @@
-//! The concurrent delta buffer behind `Request::Ingest`.
+//! The coordinator's ingest log behind `Request::Ingest`.
 //!
-//! Accepted points land in one of a fixed set of mutex-sharded bins
-//! selected by grid cell (one lock per write, never all of them), while
-//! each bin also maintains live per-cell count / label / group-count
-//! deltas on top of the frozen snapshot's `CellStats`. Occupancy and
-//! the rejected tally are plain atomics so the policy loop and the
-//! telemetry scrape never take a lock.
+//! Accepted points are appended, under one mutex, to a single
+//! accept-ordered log in which a record's position is its sequence
+//! number. A merged mark splits the log into the prefix the published
+//! generation was trained on and the records still pending past it.
+//! Dense per-cell count and label sums of the pending records are
+//! kept at accept time, so the drift detector's input is a plain copy.
+//! Pending occupancy and the rejected tally are atomics, so an ingest
+//! acknowledgement and the policy's occupancy check never take the
+//! lock.
 
 use crate::record::IngestRecord;
 use fsi_geo::{Grid, Point};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Shards in the buffer — a power of two so the cell-id mix is a mask.
-const SHARD_COUNT: usize = 16;
-
-/// Live per-cell aggregates stacked on top of the frozen statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CellDelta {
-    /// Points buffered in this cell.
-    pub count: u64,
-    /// Positive labels buffered in this cell.
-    pub labels: u64,
-    /// Buffered count per cohort tag, sorted by tag.
-    pub groups: Vec<(u32, u64)>,
-}
-
-impl CellDelta {
-    fn add(&mut self, group: u32, label: bool) {
-        self.count += 1;
-        self.labels += u64::from(label);
-        match self.groups.binary_search_by_key(&group, |&(g, _)| g) {
-            Ok(i) => self.groups[i].1 += 1,
-            Err(i) => self.groups.insert(i, (group, 1)),
-        }
-    }
-}
-
-#[derive(Default)]
-struct Shard {
+struct Log {
+    /// Every accepted record, in accept order: `records[i].seq == i`.
     records: Vec<IngestRecord>,
-    cells: HashMap<usize, CellDelta>,
+    /// Records before this position are merged into the published
+    /// generation; the rest are pending.
+    merged: usize,
+    /// Row-major per-cell count of the pending records.
+    counts: Vec<f64>,
+    /// Row-major per-cell positive-label count of the pending records.
+    labels: Vec<f64>,
 }
 
-/// A concurrent buffer of ingested points awaiting the next index
-/// maintenance pass.
+/// The accept-ordered log of ingested points, with a merged mark and
+/// live per-cell deltas of the records past it.
 pub struct DeltaBuffer {
     grid: Grid,
-    shards: Vec<Mutex<Shard>>,
-    seq: AtomicU64,
-    len: AtomicU64,
-    accepted: AtomicU64,
+    log: Mutex<Log>,
+    /// Records past the merged mark; written only under the log lock.
+    pending: AtomicU64,
     rejected: AtomicU64,
     epoch: Instant,
-    /// Nanos-since-epoch **plus one** of the oldest undrained accept;
-    /// zero means the buffer is empty. Best-effort across a drain that
-    /// races new accepts — staleness may then be under-reported until
-    /// the next accept restamps it.
+    /// Nanos-since-epoch **plus one** of the oldest pending accept;
+    /// zero means nothing is pending. Records still pending after a
+    /// merge are restamped then, so their age may be under-reported by
+    /// up to one maintenance pass.
     oldest: AtomicU64,
 }
 
 impl DeltaBuffer {
-    /// An empty buffer over `grid` — the grid decides which points are
-    /// in bounds and which cell a point's deltas land in.
+    /// An empty log over `grid` — the grid decides which points are in
+    /// bounds and which cell a point's deltas land in.
     pub fn new(grid: Grid) -> Self {
+        let cells = grid.len();
         Self {
             grid,
-            shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
-            seq: AtomicU64::new(0),
-            len: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
+            log: Mutex::new(Log {
+                records: Vec::new(),
+                merged: 0,
+                counts: vec![0.0; cells],
+                labels: vec![0.0; cells],
+            }),
+            pending: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             epoch: Instant::now(),
             oldest: AtomicU64::new(0),
         }
     }
 
-    /// The grid the buffer validates and bins points against.
+    /// The grid the log validates and bins points against.
     pub fn grid(&self) -> &Grid {
         &self.grid
     }
 
-    /// Accepts one observed point, returning its global accept-order
-    /// sequence number, or `None` (and a bumped rejected tally) when
-    /// the point falls outside the grid.
+    fn lock(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().expect("ingest log lock poisoned")
+    }
+
+    fn stamp(&self) -> u64 {
+        self.epoch.elapsed().as_nanos().min(u64::MAX as u128 - 1) as u64 + 1
+    }
+
+    /// Appends one observed point, returning its accept-order sequence
+    /// number (its position in the log), or `None` (and a bumped
+    /// rejected tally) when the point falls outside the grid.
     pub fn accept(&self, x: f64, y: f64, group: u32, label: bool) -> Option<u64> {
         let Ok(cell) = self.grid.locate(&Point { x, y }) else {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let record = IngestRecord {
+        let mut log = self.lock();
+        let seq = log.records.len() as u64;
+        log.records.push(IngestRecord {
             seq,
             x,
             y,
             group,
             label,
-        };
-        {
-            let mut shard = self.shards[cell % SHARD_COUNT].lock().unwrap();
-            shard.records.push(record);
-            shard.cells.entry(cell).or_default().add(group, label);
+        });
+        log.counts[cell] += 1.0;
+        log.labels[cell] += f64::from(u8::from(label));
+        if self.pending.fetch_add(1, Ordering::AcqRel) == 0 {
+            self.oldest.store(self.stamp(), Ordering::Release);
         }
-        self.len.fetch_add(1, Ordering::Release);
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        let stamp = self.epoch.elapsed().as_nanos().min(u64::MAX as u128 - 1) as u64 + 1;
-        let _ = self
-            .oldest
-            .compare_exchange(0, stamp, Ordering::AcqRel, Ordering::Relaxed);
         Some(seq)
     }
 
-    /// Points currently buffered.
+    /// Points accepted but not yet merged.
     pub fn occupancy(&self) -> u64 {
-        self.len.load(Ordering::Acquire)
+        self.pending.load(Ordering::Acquire)
     }
 
-    /// `true` when nothing is buffered.
+    /// `true` when nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.occupancy() == 0
     }
 
-    /// Points accepted since the buffer was created (drains don't
-    /// lower this — it's the cumulative write counter).
+    /// Points accepted since the log was created, merged or not.
     pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
+        self.lock().records.len() as u64
     }
 
     /// Points rejected for falling outside the grid.
@@ -134,7 +122,7 @@ impl DeltaBuffer {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Age of the oldest buffered point, `None` when empty.
+    /// Age of the oldest pending point, `None` when nothing is pending.
     pub fn oldest_age(&self) -> Option<Duration> {
         let stamp = self.oldest.load(Ordering::Acquire);
         if stamp == 0 {
@@ -147,63 +135,47 @@ impl DeltaBuffer {
         )
     }
 
-    /// Row-major per-cell `(count, label)` deltas over the buffer's
-    /// grid — the drift detector's input, shaped for
+    /// Row-major per-cell `(count, label)` deltas of the pending
+    /// records — the drift detector's input, shaped for
     /// `CellStats::with_deltas`.
     pub fn cell_deltas(&self) -> (Vec<f64>, Vec<f64>) {
+        let log = self.lock();
+        (log.counts.clone(), log.labels.clone())
+    }
+
+    /// A copy of the whole log, merged and pending, in accept order.
+    /// Its length is the prefix to hand [`DeltaBuffer::mark_merged`]
+    /// once a generation trained on it has published.
+    pub fn log(&self) -> Vec<IngestRecord> {
+        self.lock().records.clone()
+    }
+
+    /// Marks the first `len` records merged and returns the per-cell
+    /// `(count, label)` deltas of the ones that were pending until now —
+    /// what the published baseline advances by. Records past `len` stay
+    /// pending; a `len` at or before the mark changes nothing.
+    pub fn mark_merged(&self, len: usize) -> (Vec<f64>, Vec<f64>) {
         let mut counts = vec![0.0; self.grid.len()];
         let mut labels = vec![0.0; self.grid.len()];
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            for (&cell, delta) in &shard.cells {
-                counts[cell] += delta.count as f64;
-                labels[cell] += delta.labels as f64;
+        let mut log = self.lock();
+        let log = &mut *log;
+        let end = len.min(log.records.len());
+        let start = log.merged.min(end);
+        for r in &log.records[start..end] {
+            if let Ok(cell) = self.grid.locate(&Point { x: r.x, y: r.y }) {
+                let label = f64::from(u8::from(r.label));
+                counts[cell] += 1.0;
+                labels[cell] += label;
+                log.counts[cell] -= 1.0;
+                log.labels[cell] -= label;
             }
         }
+        log.merged = log.merged.max(end);
+        let left = self.pending.load(Ordering::Acquire) - (end - start) as u64;
+        self.pending.store(left, Ordering::Release);
+        let oldest = if left == 0 { 0 } else { self.stamp() };
+        self.oldest.store(oldest, Ordering::Release);
         (counts, labels)
-    }
-
-    /// The live cohort-count deltas of one cell, sorted by tag; empty
-    /// when the cell has no buffered points.
-    pub fn group_deltas(&self, cell: usize) -> Vec<(u32, u64)> {
-        let shard = self.shards[cell % SHARD_COUNT].lock().unwrap();
-        shard
-            .cells
-            .get(&cell)
-            .map(|d| d.groups.clone())
-            .unwrap_or_default()
-    }
-
-    /// Buffered cohort counts summed across all cells, sorted by tag.
-    pub fn group_totals(&self) -> Vec<(u32, u64)> {
-        let mut totals: HashMap<u32, u64> = HashMap::new();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap();
-            for delta in shard.cells.values() {
-                for &(g, n) in &delta.groups {
-                    *totals.entry(g).or_default() += n;
-                }
-            }
-        }
-        let mut out: Vec<(u32, u64)> = totals.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Removes and returns every buffered record in global accept
-    /// order, resetting the per-cell deltas. Accepts racing the drain
-    /// simply land in the next epoch.
-    pub fn drain(&self) -> Vec<IngestRecord> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap();
-            out.append(&mut shard.records);
-            shard.cells.clear();
-        }
-        out.sort_unstable_by_key(|r| r.seq);
-        self.len.fetch_sub(out.len() as u64, Ordering::AcqRel);
-        self.oldest.store(0, Ordering::Release);
-        out
     }
 }
 
@@ -236,9 +208,9 @@ mod tests {
     }
 
     #[test]
-    fn cell_deltas_track_counts_labels_and_groups() {
+    fn cell_deltas_track_counts_and_labels() {
         let b = buffer();
-        // Three points in the same cell (0.1, 0.1), two cohorts.
+        // Three points in the same cell (0.1, 0.1), two of them positive.
         b.accept(0.05, 0.05, 7, true).unwrap();
         b.accept(0.1, 0.1, 7, false).unwrap();
         b.accept(0.15, 0.2, 3, true).unwrap();
@@ -247,28 +219,41 @@ mod tests {
         assert_eq!(counts[cell], 3.0);
         assert_eq!(labels[cell], 2.0);
         assert_eq!(counts.iter().sum::<f64>(), 3.0);
-        assert_eq!(b.group_deltas(cell), vec![(3, 1), (7, 2)]);
-        assert_eq!(b.group_totals(), vec![(3, 1), (7, 2)]);
+        assert_eq!(labels.iter().sum::<f64>(), 2.0);
     }
 
     #[test]
-    fn drain_returns_accept_order_and_resets_deltas() {
+    fn marking_a_prefix_merged_returns_its_deltas_and_keeps_the_rest() {
         let b = buffer();
         for i in 0..20 {
             let t = i as f64 / 20.0;
             b.accept(t, 1.0 - t - 1e-9, i % 3, i % 2 == 0).unwrap();
         }
-        let drained = b.drain();
-        assert_eq!(drained.len(), 20);
-        let seqs: Vec<u64> = drained.iter().map(|r| r.seq).collect();
-        assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+        let log = b.log();
+        assert_eq!(log.len(), 20);
+        assert!(log.iter().enumerate().all(|(i, r)| r.seq == i as u64));
+        // Two accepts race the pass that trains on `log`.
+        assert_eq!(b.accept(0.6, 0.6, 0, true), Some(20));
+        assert_eq!(b.accept(0.7, 0.2, 1, false), Some(21));
+        let (counts, labels) = b.mark_merged(log.len());
+        assert_eq!(counts.iter().sum::<f64>(), 20.0);
+        assert_eq!(labels.iter().sum::<f64>(), 10.0);
+        // The racing accepts stay pending, in place.
+        assert_eq!(b.occupancy(), 2);
+        assert!(b.oldest_age().is_some());
+        let (counts, labels) = b.cell_deltas();
+        assert_eq!(counts.iter().sum::<f64>(), 2.0);
+        assert_eq!(labels.iter().sum::<f64>(), 1.0);
+        assert_eq!(b.accepted(), 22);
+        // Re-marking the same prefix changes nothing.
+        assert!(b.mark_merged(20).0.iter().all(|&c| c == 0.0));
+        assert_eq!(b.occupancy(), 2);
+        b.mark_merged(22);
         assert_eq!(b.occupancy(), 0);
         assert_eq!(b.oldest_age(), None);
-        let (counts, labels) = b.cell_deltas();
-        assert!(counts.iter().all(|&c| c == 0.0));
-        assert!(labels.iter().all(|&l| l == 0.0));
-        // Sequence numbers keep climbing across drains.
-        assert_eq!(b.accept(0.5, 0.5, 0, true), Some(20));
+        assert!(b.cell_deltas().0.iter().all(|&c| c == 0.0));
+        // Sequence numbers keep climbing across merges.
+        assert_eq!(b.accept(0.5, 0.5, 0, true), Some(22));
     }
 
     #[test]
@@ -286,15 +271,14 @@ mod tests {
             }
         });
         assert_eq!(b.occupancy(), 1000);
-        let drained = b.drain();
-        assert_eq!(drained.len(), 1000);
-        let mut seqs: Vec<u64> = drained.iter().map(|r| r.seq).collect();
+        let log = b.log();
+        assert_eq!(log.len(), 1000);
         assert!(
-            seqs.windows(2).all(|w| w[0] < w[1]),
-            "drain must sort by seq"
+            log.iter().enumerate().all(|(i, r)| r.seq == i as u64),
+            "positions must be unique and dense"
         );
-        seqs.dedup();
-        assert_eq!(seqs.len(), 1000, "sequence numbers must be unique");
+        b.mark_merged(log.len());
+        assert_eq!(b.occupancy(), 0);
         let (counts, _) = b.cell_deltas();
         assert!(counts.iter().all(|&c| c == 0.0));
     }

@@ -4,11 +4,10 @@
 //! atomic hot-swap. This crate opens the *online* scenario — a write
 //! path that keeps the frozen index honest as points stream in:
 //!
-//! * [`DeltaBuffer`] — a concurrent, cell-sharded buffer of accepted
-//!   points ([`IngestRecord`]s), maintaining live per-cell count /
-//!   label / group-count deltas ([`CellDelta`]) on top of the frozen
-//!   snapshot's statistics. One mutex shard per write, atomics for
-//!   occupancy.
+//! * [`DeltaBuffer`] — the coordinator's one ingest log: accepted
+//!   points ([`IngestRecord`]s) in accept order under one mutex, a
+//!   merged mark, and live per-cell count / label deltas of the records
+//!   past the mark on top of the published snapshot's statistics.
 //! * [`DriftDetector`] — scores how far the buffered deltas have pushed
 //!   any subtree's statistics past the frozen baseline, using the
 //!   `CellStats`/summed-area-table machinery (one O(grid) pass, then
@@ -16,16 +15,16 @@
 //! * [`MaintenanceSpec`] — the policy: drift threshold, occupancy
 //!   bound, SLA-style staleness bound. [`MaintenanceSpec::due`] decides
 //!   when a background pass should fold the buffer in.
-//! * [`merge_dataset`] — the deterministic merge that appends drained
+//! * [`merge_dataset`] — the deterministic merge that appends logged
 //!   records to the seed dataset in global accept order, so every shard
 //!   that retrains from the same `(seed, delta)` pair builds a
 //!   bit-identical index.
 //!
 //! The serving layer (`fsi-serve`) wires these into `Request::Ingest` /
-//! `Request::IngestBatch` dispatch, owner-shard routing, and the
-//! existing two-phase `RebuildPrepare`/`RebuildCommit` barrier, so
-//! streaming writes compose with every layer above with zero new
-//! protocol.
+//! `Request::IngestBatch` dispatch on the coordinator and the existing
+//! two-phase `RebuildPrepare`/`RebuildCommit` barrier, which ships the
+//! log to every shard, so streaming writes compose with every layer
+//! above with zero new protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +36,7 @@ pub mod merge;
 pub mod policy;
 pub mod record;
 
-pub use buffer::{CellDelta, DeltaBuffer};
+pub use buffer::DeltaBuffer;
 pub use drift::{baseline_stats, DriftDetector, DriftReport};
 pub use error::IngestError;
 pub use merge::merge_dataset;

@@ -37,23 +37,25 @@ pub enum Request {
         /// The query rectangle.
         rect: WireRect,
     },
-    /// Append one observed point to the serving deployment's delta
-    /// buffer (the streaming write path). The point is routed to its
-    /// owning shard; the index itself is untouched until a maintenance
-    /// pass merges the buffer and rebuilds.
+    /// Append one observed point to the serving deployment's ingest log
+    /// (the streaming write path). The coordinator keeps the point and
+    /// forwards it to no shard; the index itself is untouched until a
+    /// maintenance pass merges the log, rebuilds and ships the log to
+    /// every shard.
     Ingest {
         /// Map-space x coordinate.
         x: f64,
         /// Map-space y coordinate.
         y: f64,
-        /// Opaque cohort tag, tracked per cell for drift detection.
+        /// Opaque cohort tag, logged with the point and shipped with
+        /// the delta; neither the merge nor drift detection reads it.
         group: u32,
         /// Observed binary outcome for the served task.
         label: bool,
     },
     /// Append a batch of observed points in one round-trip (the
-    /// high-throughput write path; a coordinator fans the batch out to
-    /// owning shards, same shape as [`Request::LookupBatch`]).
+    /// high-throughput write path). The coordinator logs them in
+    /// request order, exactly as a run of [`Request::Ingest`]s.
     IngestBatch {
         /// The observations, accepted in order.
         points: Vec<IngestBody>,

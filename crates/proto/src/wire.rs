@@ -98,7 +98,8 @@ pub struct IngestBody {
     pub x: f64,
     /// Map-space y coordinate.
     pub y: f64,
-    /// Opaque cohort tag, tracked per cell for drift detection.
+    /// Opaque cohort tag, logged with the point and shipped with the
+    /// delta; neither the merge nor drift detection reads it.
     pub group: u32,
     /// Observed binary outcome for the served task.
     pub label: bool,
@@ -400,9 +401,10 @@ pub struct IngestObsBody {
     /// Points currently buffered (the occupancy gauge maintenance
     /// triggers on).
     pub buffered: u64,
-    /// The last measured maximum subtree drift score.
+    /// The maximum subtree drift score, measured when the snapshot was
+    /// taken.
     pub drift_score: f64,
-    /// End-to-end maintenance rebuild durations (drain + merge +
+    /// End-to-end maintenance rebuild durations (log copy + merge +
     /// retrain + two-phase publish), in nanoseconds.
     pub maintenance: HistogramSnapshot,
 }

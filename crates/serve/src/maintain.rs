@@ -2,15 +2,15 @@
 //!
 //! [`MaintenanceHandle`] owns a thread that periodically asks an
 //! ingest-enabled [`QueryService`] to
-//! [`maintain`](crate::QueryService::maintain) itself: measure drift over
-//! the delta buffer, and when the [`MaintenanceSpec`] policy trips, merge
-//! the buffered points into the training set, retrain, and republish
-//! through the same two-phase rebuild barrier manual rebuilds use.
-//! Readers keep answering from the previous generation throughout.
+//! [`maintain`](crate::QueryService::maintain) itself: measure drift of
+//! the pending ingest-log records, and when the [`MaintenanceSpec`]
+//! policy trips, merge the log into the training set, retrain, and
+//! republish through the same two-phase rebuild barrier manual rebuilds
+//! use. Readers keep answering from the previous generation throughout.
 //!
 //! A failed pass is logged into the service's error telemetry by
-//! `maintain` itself and retried on the next poll — the buffered points
-//! are restored, never dropped.
+//! `maintain` itself and retried on the next poll. It never touched the
+//! log: its points stay pending, in accept order, and count once.
 
 use crate::error::ServeError;
 use crate::service::QueryService;
@@ -29,7 +29,7 @@ const SHUTDOWN_SLICE: Duration = Duration::from_millis(25);
 /// A handle to a background maintenance thread.
 ///
 /// Spawned over a clone of an ingest-enabled service (clones share the
-/// delta buffer, ingest log and index handles with the original, so a
+/// ingest log and the index handles with the original, so a
 /// rebuild published here is visible to every other clone). Dropping the
 /// handle stops the thread; [`stop`](MaintenanceHandle::stop) does the
 /// same and reports how many rebuilds the thread published.
@@ -70,8 +70,8 @@ impl MaintenanceHandle {
             .spawn(move || {
                 while !stop_flag.load(Ordering::Acquire) {
                     // A failed pass already landed in the service's
-                    // error telemetry and restored the buffered points;
-                    // the next poll retries it.
+                    // error telemetry and left its points pending; the
+                    // next poll retries it.
                     if let Ok(Some(_)) = service.maintain(&policy, &spec) {
                         rebuilt.fetch_add(1, Ordering::Relaxed);
                     }

@@ -139,7 +139,7 @@ pub(crate) struct ServiceMetrics {
     pub(crate) rebuild_commit: Histogram,
     /// Abort durations, per shard-phase.
     pub(crate) rebuild_abort: Histogram,
-    /// End-to-end maintenance rebuild durations (drain + merge +
+    /// End-to-end maintenance rebuild durations (log copy + merge +
     /// retrain + two-phase publish).
     pub(crate) maintenance: Histogram,
 }

@@ -35,8 +35,8 @@ use fsi_core::CellStats;
 use fsi_data::SpatialDataset;
 use fsi_geo::Point;
 use fsi_ingest::{
-    baseline_stats, merge_dataset, DeltaBuffer, DriftDetector, IngestError, IngestRecord,
-    MaintenanceSpec,
+    baseline_stats, merge_dataset, DeltaBuffer, DriftDetector, DriftReport, IngestError,
+    IngestRecord, MaintenanceSpec,
 };
 use fsi_obs::{Histogram, Recorder, Registry};
 use fsi_pipeline::{MethodRun, PipelineError, PipelineSpec, TaskSpec};
@@ -45,8 +45,6 @@ use fsi_proto::{
     RebuildObsBody, Request, RequestKindMetrics, Response, ShardHealthBody, ShardObsBody,
     ShardStatsBody, StatsBody, WirePoint, WireRect,
 };
-use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -79,67 +77,28 @@ impl From<DecisionBody> for Decision {
 }
 
 /// The streaming-ingestion state of a service, shared by every clone
-/// (transport workers ingest concurrently; the buffer is internally
-/// sharded, everything else sits behind its own lock or atomic).
+/// (transport workers ingest concurrently).
 ///
-/// The **cumulative log** is the heart of the distributed story: remote
-/// shards retrain from their own seed copy during a two-phase rebuild
-/// and tree splits are global, so every maintenance pass merges the
-/// seed with the *full* accept-ordered log and ships that same log to
-/// every shard in [`Request::RebuildPrepare`]'s `delta` — each shard
-/// merges it deterministically and the fleet stays bit-identical. The
-/// log is never truncated on the coordinator; the buffer holds only the
-/// records accepted since the last drain.
+/// The buffer is the coordinator's one accept-ordered ingest log. Remote
+/// shards retrain from their own seed copy and tree splits are global,
+/// so every maintenance pass trains on the seed merged with the *whole*
+/// log and ships that same log to every shard in
+/// [`Request::RebuildPrepare`]'s `delta`; each shard merges it
+/// deterministically and the fleet stays bit-identical. Only after the
+/// commit is the shipped prefix marked merged and the baseline advanced
+/// by its cell deltas, so a failed pass changes nothing.
 struct IngestState {
-    /// The task ingested labels are interpreted under.
-    task: TaskSpec,
-    /// Concurrent cell-sharded buffer of records accepted since the
-    /// last maintenance drain.
     buffer: DeltaBuffer,
-    /// Every record ever accepted, in global accept order — the delta
-    /// every maintenance rebuild merges and ships.
-    log: Mutex<Vec<IngestRecord>>,
     /// Per-cell statistics of the currently *published* dataset (seed
-    /// plus every folded-in record) — what drift is measured against.
+    /// plus the merged log prefix) — what drift is measured against.
+    /// Lock order: this, then the buffer's log.
     baseline: Mutex<CellStats>,
-    /// Bit pattern of the last measured drift score, refreshed by
-    /// maintenance polls and metrics scrapes.
-    drift_bits: AtomicU64,
 }
 
 impl IngestState {
-    fn drift_score(&self) -> f64 {
-        f64::from_bits(self.drift_bits.load(Ordering::Relaxed))
-    }
-
-    fn store_drift(&self, score: f64) {
-        self.drift_bits.store(score.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Moves the buffered records onto the end of the cumulative log.
-    /// Returns the whole log and how many records the drain appended.
-    fn drain_into_log(&self) -> (Vec<IngestRecord>, usize) {
-        let drained = self.buffer.drain();
-        let drained_len = drained.len();
-        let mut log = self.log.lock().expect("ingest log lock poisoned");
-        log.extend(drained);
-        (log.clone(), drained_len)
-    }
-
-    /// Undoes a failed maintenance pass: the `drained_len` records most
-    /// recently appended to the log go back into the buffer (they are
-    /// re-accepted, so they get fresh sequence numbers — the canonical
-    /// global order is simply re-decided, identically for every shard,
-    /// by whichever pass eventually publishes).
-    fn restore_unmerged(&self, drained_len: usize) {
-        let tail: Vec<IngestRecord> = {
-            let mut log = self.log.lock().expect("ingest log lock poisoned");
-            let keep = log.len().saturating_sub(drained_len);
-            log.split_off(keep)
-        };
-        for r in tail {
-            let _ = self.buffer.accept(r.x, r.y, r.group, r.label);
-        }
+    fn measure(&self) -> Result<DriftReport, IngestError> {
+        let baseline = self.baseline.lock().expect("baseline lock poisoned");
+        DriftDetector::new().measure(&baseline, &self.buffer)
     }
 }
 
@@ -155,14 +114,6 @@ impl IngestState {
 enum ShardSlot {
     Local(IndexReader),
     Remote { transport: bool },
-}
-
-/// An index trained for a republish, with the dataset it was trained
-/// on: the seed itself, or the seed merged with an ingest log.
-struct Trained<'a> {
-    index: FrozenIndex,
-    run: MethodRun,
-    dataset: Cow<'a, SpatialDataset>,
 }
 
 /// The one mapping from a slot's failed barrier phase to the barrier's
@@ -226,26 +177,20 @@ impl QueryService {
     }
 
     /// Enables streaming ingestion: `Ingest` / `IngestBatch` requests
-    /// append to a concurrent delta buffer (with live per-cell drift
+    /// append to the coordinator's ingest log (with live per-cell drift
     /// statistics against the `task` baseline), and
-    /// [`QueryService::maintain`] folds the buffer into a full
-    /// two-phase rebuild when the policy triggers. Requires a training
-    /// dataset ([`QueryService::with_rebuild`] first) — the buffer
-    /// validates points against its grid, and maintenance merges into
-    /// it.
+    /// [`QueryService::maintain`] folds the log into a full two-phase
+    /// rebuild when the policy triggers. Requires a training dataset
+    /// ([`QueryService::with_rebuild`] first) — the log validates points
+    /// against its grid, and maintenance merges into it.
     pub fn with_ingest(mut self, task: TaskSpec) -> Result<Self, ServeError> {
         let dataset = self
             .rebuild_dataset
             .as_ref()
             .ok_or(ServeError::Ingest(IngestError::MissingDataset))?;
-        let baseline = baseline_stats(dataset, &task)?;
-        let buffer = DeltaBuffer::new(dataset.grid().clone());
         self.ingest = Some(Arc::new(IngestState {
-            task,
-            buffer,
-            log: Mutex::new(Vec::new()),
-            baseline: Mutex::new(baseline),
-            drift_bits: AtomicU64::new(0),
+            buffer: DeltaBuffer::new(dataset.grid().clone()),
+            baseline: Mutex::new(baseline_stats(dataset, &task)?),
         }));
         Ok(self)
     }
@@ -753,7 +698,7 @@ impl QueryService {
     }
 
     /// The `Ingested` acknowledgement: this request's accept count, the
-    /// coordinator buffer's occupancy and the in-process generation.
+    /// number of pending log records and the in-process generation.
     fn ingested(&self, state: &IngestState, accepted: u64) -> Response {
         Response::Ingested {
             accepted,
@@ -762,7 +707,7 @@ impl QueryService {
         }
     }
 
-    /// One streamed observation into the coordinator's buffer.
+    /// One streamed observation into the coordinator's ingest log.
     /// Out-of-bounds points are a structured error (mirroring `Lookup`).
     /// Shards never see the point: the coordinator's log is the one
     /// source of truth, shipped to them by the next maintenance rebuild.
@@ -956,25 +901,14 @@ impl QueryService {
         };
         let fold = MetricsFold::collect(obs.registry(), self.slots.len());
         let generation = fold.generation.max(self.in_process_generation());
-        // A scrape re-measures drift so the gauge is live even when no
-        // maintenance thread is polling; the stored bits are the
-        // fallback if the baseline shape ever disagrees mid-swap.
-        let ingest = self.ingest.as_ref().map(|state| {
-            let score = {
-                let baseline = state.baseline.lock().expect("baseline lock poisoned");
-                DriftDetector::new()
-                    .measure(&baseline, &state.buffer)
-                    .map(|r| r.score)
-                    .unwrap_or_else(|_| state.drift_score())
-            };
-            state.store_drift(score);
-            fsi_proto::IngestObsBody {
-                accepted: state.buffer.accepted(),
-                rejected: state.buffer.rejected(),
-                buffered: state.buffer.occupancy(),
-                drift_score: score,
-                maintenance: fold.maintenance.clone(),
-            }
+        // A scrape measures drift afresh, so the gauge is live even when
+        // no maintenance thread is polling.
+        let ingest = self.ingest.as_ref().map(|state| fsi_proto::IngestObsBody {
+            accepted: state.buffer.accepted(),
+            rejected: state.buffer.rejected(),
+            buffered: state.buffer.occupancy(),
+            drift_score: state.measure().map_or(0.0, |r| r.score),
+            maintenance: fold.maintenance.clone(),
         });
         let shards = fold
             .shards
@@ -1034,31 +968,32 @@ impl QueryService {
     /// log as a prepare's `delta` reads them, so the fleet stays
     /// bit-identical. The one mapping from training failures to
     /// protocol errors.
-    fn train(&self, spec: &PipelineSpec, log: &[IngestRecord]) -> Result<Trained<'_>, Response> {
+    fn train(
+        &self,
+        spec: &PipelineSpec,
+        log: &[IngestRecord],
+    ) -> Result<(FrozenIndex, MethodRun), Response> {
         let Some(seed) = self.rebuild_dataset.as_deref() else {
             return Err(Response::error(
                 ErrorCode::RebuildUnavailable,
                 "this service was built without a training dataset; rebuilds are disabled",
             ));
         };
+        let merged;
         let dataset = if log.is_empty() {
-            Cow::Borrowed(seed)
+            seed
         } else {
-            Cow::Owned(merge_dataset(seed, &spec.task, log).map_err(|e| {
+            merged = merge_dataset(seed, &spec.task, log).map_err(|e| {
                 Response::error(ErrorCode::Internal, format!("delta merge failed: {e}"))
-            })?)
+            })?;
+            &merged
         };
-        match build_index(&dataset, spec) {
-            Ok((index, run)) => Ok(Trained {
-                index,
-                run,
-                dataset,
-            }),
-            Err(ServeError::Pipeline(PipelineError::InvalidConfig(msg))) => {
-                Err(Response::error(ErrorCode::InvalidSpec, msg))
+        build_index(dataset, spec).map_err(|e| match e {
+            ServeError::Pipeline(PipelineError::InvalidConfig(msg)) => {
+                Response::error(ErrorCode::InvalidSpec, msg)
             }
-            Err(e) => Err(Response::error(ErrorCode::Internal, e.to_string())),
-        }
+            e => Response::error(ErrorCode::Internal, e.to_string()),
+        })
     }
 
     /// Phase one on every slot, through [`Self::fanout`]: in-process
@@ -1134,67 +1069,58 @@ impl QueryService {
     /// The coordinator barrier behind `Rebuild` and
     /// [`QueryService::maintain`], run under the topology's barrier lock
     /// from training to commit. With ingestion configured it is a
-    /// maintenance pass: the buffer drains into the cumulative log, the
-    /// index trains on the seed merged with that log, and the log rides
-    /// every prepare as its `delta` (otherwise the published index would
-    /// forget every streamed point). On failure the drained records go
-    /// back into the buffer and the old generation keeps serving.
+    /// maintenance pass: the index trains on the seed merged with the
+    /// whole ingest log as it stands, and that log rides every prepare
+    /// as its `delta` (otherwise the published index would forget every
+    /// streamed point). Only after the commit is that prefix marked
+    /// merged and the baseline advanced by its cell deltas — the sums
+    /// are integer-valued, so this equals `baseline_stats` over the
+    /// merged dataset bit for bit. On failure nothing changes: the old
+    /// generation keeps serving and every point stays pending, in order.
     fn rebuild(&self, spec: &PipelineSpec) -> Response {
         let started = Instant::now();
         let _barrier = self.topology.lock_barrier();
-        let (log, drained) = match &self.ingest {
-            Some(state) => state.drain_into_log(),
-            None => (Vec::new(), 0),
+        let log = self.ingest.as_ref().map(|state| state.buffer.log());
+        let published = self
+            .train(spec, log.as_deref().unwrap_or_default())
+            .and_then(|(index, run)| {
+                let request = Request::RebuildPrepare {
+                    spec: spec.clone(),
+                    delta: log
+                        .as_ref()
+                        .map(|log| log.iter().map(IngestRecord::to_wire).collect()),
+                };
+                self.prepare_all(&index, &request)?;
+                Ok((index, run, self.commit_all()?))
+            });
+        let (index, run, generation) = match published {
+            Ok(published) => published,
+            Err(response) => return response,
         };
-        let published = self.train(spec, &log).and_then(|trained| {
-            let baseline = match &self.ingest {
-                Some(state) => Some(
-                    baseline_stats(&trained.dataset, &state.task)
-                        .map_err(|e| Response::error(ErrorCode::Internal, e.to_string()))?,
-                ),
-                None => None,
-            };
-            let delta = self
-                .ingest
-                .is_some()
-                .then(|| log.iter().map(IngestRecord::to_wire).collect());
-            let request = Request::RebuildPrepare {
+        if let (Some(state), Some(log)) = (&self.ingest, &log) {
+            let mut baseline = state.baseline.lock().expect("baseline lock poisoned");
+            let (counts, labels) = state.buffer.mark_merged(log.len());
+            let zeros = vec![0.0; counts.len()];
+            match baseline.with_deltas(state.buffer.grid(), &counts, &zeros, &labels) {
+                Ok(advanced) => *baseline = advanced,
+                Err(e) => return Response::error(ErrorCode::Internal, e.to_string()),
+            }
+        }
+        Response::Rebuilt {
+            report: Box::new(RebuildReport {
                 spec: spec.clone(),
-                delta,
-            };
-            self.prepare_all(&trained.index, &request)?;
-            let generation = self.commit_all()?;
-            Ok((trained, baseline, generation))
-        });
-        match published {
-            Ok((trained, baseline, generation)) => {
-                if let (Some(state), Some(baseline)) = (&self.ingest, baseline) {
-                    *state.baseline.lock().expect("baseline lock poisoned") = baseline;
-                    state.store_drift(0.0);
-                }
-                Response::Rebuilt {
-                    report: Box::new(RebuildReport {
-                        spec: spec.clone(),
-                        generation,
-                        num_leaves: trained.index.num_leaves(),
-                        ence: trained.run.eval.full.ence,
-                        build_time: trained.run.build_time,
-                        total_time: started.elapsed(),
-                    }),
-                }
-            }
-            Err(response) => {
-                if let Some(state) = &self.ingest {
-                    state.restore_unmerged(drained);
-                }
-                response
-            }
+                generation,
+                num_leaves: index.num_leaves(),
+                ence: run.eval.full.ence,
+                build_time: run.build_time,
+                total_time: started.elapsed(),
+            }),
         }
     }
 
-    /// One maintenance poll: measure drift against the frozen baseline,
+    /// One maintenance poll: measure drift against the published baseline,
     /// check the policy's triggers, and — when one fires — fold the
-    /// buffer into a full two-phase rebuild. Returns the new generation
+    /// log into a full two-phase rebuild. Returns the new generation
     /// when a rebuild published, `None` when nothing was due. The
     /// background driver ([`crate::MaintenanceHandle`]) calls this on
     /// the policy's poll cadence; callers can also invoke it directly
@@ -1207,11 +1133,7 @@ impl QueryService {
         let Some(state) = self.ingest.as_ref().map(Arc::clone) else {
             return Err(ServeError::IngestUnavailable);
         };
-        let report = {
-            let baseline = state.baseline.lock().expect("baseline lock poisoned");
-            DriftDetector::new().measure(&baseline, &state.buffer)?
-        };
-        state.store_drift(report.score);
+        let report = state.measure()?;
         if policy
             .due(report.score, report.buffered, state.buffer.oldest_age())
             .is_none()
@@ -1271,11 +1193,11 @@ impl QueryService {
             .enumerate()
             .map(|(i, b)| IngestRecord::from_wire(i as u64, b))
             .collect();
-        let trained = match self.train(spec, &log) {
+        let (index, run) = match self.train(spec, &log) {
             Ok(trained) => trained,
             Err(response) => return response,
         };
-        let staged = match self.prepare_all(&trained.index, request) {
+        let staged = match self.prepare_all(&index, request) {
             Ok(staged) => staged,
             Err(response) => return response,
         };
@@ -1283,14 +1205,14 @@ impl QueryService {
         // (clipped) footprint, the global index's otherwise.
         let (num_leaves, heap_bytes) = match staged.as_slice() {
             [only] => (only.num_leaves, only.heap_bytes),
-            _ => (trained.index.num_leaves(), trained.index.heap_bytes()),
+            _ => (index.num_leaves(), index.heap_bytes()),
         };
         Response::Prepared {
             prepared: Box::new(PreparedBody {
                 num_leaves,
                 heap_bytes,
-                ence: trained.run.eval.full.ence,
-                build_time: trained.run.build_time,
+                ence: run.eval.full.ence,
+                build_time: run.build_time,
             }),
         }
     }
@@ -2288,6 +2210,197 @@ mod tests {
                 other => panic!("expected decision, got {other:?}"),
             }
         }
+    }
+
+    /// Every `delta` a [`FailsFirstPrepare`] slot forwarded, in order.
+    type Deltas = Arc<Mutex<Vec<Vec<IngestBody>>>>;
+
+    /// A [`StubRemote`] whose first prepare announces itself, blocks
+    /// until released and then fails; later prepares record the `delta`
+    /// they carry and forward.
+    struct FailsFirstPrepare {
+        inner: StubRemote,
+        gate: Mutex<Option<Gate>>,
+        deltas: Deltas,
+    }
+
+    impl ShardBackend for FailsFirstPrepare {
+        fn dispatch(&self, request: &Request) -> Response {
+            if let Request::RebuildPrepare { delta, .. } = request {
+                let gate = self.gate.lock().unwrap().take();
+                if let Some((entered, release)) = gate {
+                    entered.send(()).unwrap();
+                    release.recv().unwrap();
+                    return Response::error(ErrorCode::Internal, "injected prepare failure");
+                }
+                self.deltas
+                    .lock()
+                    .unwrap()
+                    .push(delta.clone().unwrap_or_default());
+            }
+            self.inner.dispatch(request)
+        }
+
+        fn descriptor(&self) -> ShardDescriptor {
+            self.inner.descriptor()
+        }
+
+        fn generation(&self) -> u64 {
+            self.inner.generation()
+        }
+    }
+
+    fn ingest_one(svc: &mut QueryService, body: &IngestBody) {
+        let answer = svc.dispatch(&Request::Ingest {
+            x: body.x,
+            y: body.y,
+            group: body.group,
+            label: body.label,
+        });
+        assert!(matches!(answer, Response::Ingested { .. }), "{answer:?}");
+    }
+
+    /// `n` in-bounds points along row `y`, alternating cohort and label.
+    fn points(n: u32, y: f64) -> Vec<IngestBody> {
+        (0..n)
+            .map(|i| IngestBody::new(0.1 + 0.3 * f64::from(i), y, i % 2, i % 2 == 0))
+            .collect()
+    }
+
+    fn records(points: &[IngestBody]) -> Vec<IngestRecord> {
+        points
+            .iter()
+            .enumerate()
+            .map(|(seq, body)| IngestRecord::from_wire(seq as u64, body))
+            .collect()
+    }
+
+    /// An ingesting 1×2 coordinator whose slot 1 is a
+    /// [`FailsFirstPrepare`]: ingest A (3 points), start a rebuild on a
+    /// clone, ingest B (3 points) while it blocks in slot 1's prepare,
+    /// then release it to fail. Returns the service, the deltas slot 1
+    /// records from then on, and A ++ B.
+    fn failed_pass_with_a_racing_ingest() -> (QueryService, Deltas, Vec<IngestBody>) {
+        let dataset = dataset();
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let gate = Mutex::new(Some((entered_tx, release_rx)));
+        let deltas = Deltas::default();
+        let spec = TopologySpec {
+            rows: 1,
+            cols: 2,
+            shards: vec![BackendSpec::Local, BackendSpec::Http("shard:1".into())],
+        };
+        let topology = Topology::from_spec(&spec, index(), |addr: &str| {
+            let inner = QueryService::new(Topology::partial(&index(), 1, 2, 1).unwrap())
+                .with_rebuild(Arc::clone(&dataset));
+            Ok(Box::new(FailsFirstPrepare {
+                inner: StubRemote {
+                    addr: addr.to_string(),
+                    inner: Mutex::new(inner),
+                },
+                gate: Mutex::new(gate.lock().unwrap().take()),
+                deltas: Arc::clone(&deltas),
+            }) as Box<dyn ShardBackend>)
+        })
+        .unwrap();
+        let mut svc = QueryService::new(topology)
+            .with_rebuild(dataset)
+            .with_ingest(fsi_pipeline::TaskSpec::act())
+            .unwrap();
+        let (a, b) = (points(3, 0.2), points(3, 0.8));
+        for body in &a {
+            ingest_one(&mut svc, body);
+        }
+        let failed = std::thread::scope(|scope| {
+            let mut pass = svc.clone();
+            let first = scope.spawn(move || {
+                pass.dispatch(&Request::Rebuild {
+                    spec: ingest_spec(),
+                })
+            });
+            entered.recv().unwrap();
+            for body in &b {
+                ingest_one(&mut svc, body);
+            }
+            release.send(()).unwrap();
+            first.join().unwrap()
+        });
+        assert!(matches!(failed, Response::Error { .. }), "{failed:?}");
+        (svc, deltas, [a, b].concat())
+    }
+
+    #[test]
+    fn a_failed_pass_keeps_its_points_in_accept_order() {
+        let (mut svc, deltas, points) = failed_pass_with_a_racing_ingest();
+        let Response::Rebuilt { report } = svc.dispatch(&Request::Rebuild {
+            spec: ingest_spec(),
+        }) else {
+            panic!("expected rebuilt");
+        };
+        assert_eq!(report.generation, 2);
+        assert_eq!(*deltas.lock().unwrap(), vec![points.clone()], "A then B");
+        let merged = merge_dataset(&dataset(), &ingest_spec().task, &records(&points)).unwrap();
+        let (reference, _) = build_index(&merged, &ingest_spec()).unwrap();
+        for i in 0..64 {
+            let (x, y) = (((i % 8) as f64 + 0.5) / 8.0, ((i / 8) as f64 + 0.5) / 8.0);
+            let expected = reference.lookup(&Point::new(x, y)).unwrap();
+            let Response::Decision { decision } = svc.dispatch(&Request::Lookup { x, y }) else {
+                panic!("expected decision at ({x}, {y})");
+            };
+            assert_eq!(decision.leaf_id, expected.leaf_id, "({x}, {y})");
+            assert_eq!(decision.group, expected.group, "({x}, {y})");
+            assert_eq!(decision.raw_score.to_bits(), expected.raw_score.to_bits());
+            assert_eq!(
+                decision.calibrated_score.to_bits(),
+                expected.calibrated_score.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_pass_neither_drops_nor_double_counts_points() {
+        let (mut svc, _, _) = failed_pass_with_a_racing_ingest();
+        let ingest = svc
+            .metrics_snapshot()
+            .ingest
+            .expect("ingest telemetry missing");
+        assert_eq!((ingest.accepted, ingest.buffered), (6, 6));
+    }
+
+    #[test]
+    fn a_scrape_measures_drift_against_the_merged_baseline() {
+        let mut svc = ingest_service((2, 2));
+        let policy = fsi_ingest::MaintenanceSpec {
+            drift_threshold: 1e18,
+            max_buffered: 1,
+            max_staleness_ms: 0,
+            poll_interval_ms: 1,
+        };
+        let merged_log = points(3, 0.3);
+        for body in &merged_log {
+            ingest_one(&mut svc, body);
+        }
+        assert_eq!(svc.maintain(&policy, &ingest_spec()).unwrap(), Some(2));
+        // Later points land in the merged log's cells.
+        let later = [points(3, 0.3), points(2, 0.3)].concat();
+        let pending = DeltaBuffer::new(dataset().grid().clone());
+        for body in &later {
+            ingest_one(&mut svc, body);
+            pending.accept(body.x, body.y, body.group, body.label);
+        }
+        let scraped = svc.metrics_snapshot().ingest.unwrap().drift_score;
+        let task = ingest_spec().task;
+        let merged = merge_dataset(&dataset(), &task, &records(&merged_log)).unwrap();
+        let baseline = baseline_stats(&merged, &task).unwrap();
+        let expected = DriftDetector::new().measure(&baseline, &pending).unwrap();
+        assert!(expected.score > 0.0);
+        assert_eq!(scraped.to_bits(), expected.score.to_bits());
+        // The seed's own baseline scores differently, so the scrape
+        // really measured against the advanced one.
+        let seed = baseline_stats(&dataset(), &task).unwrap();
+        let stale = DriftDetector::new().measure(&seed, &pending).unwrap();
+        assert_ne!(stale.score.to_bits(), expected.score.to_bits());
     }
 
     /// Which shard slot ran a forwarded request, and on which thread.

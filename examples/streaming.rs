@@ -108,7 +108,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The telemetry surface carries the whole story: accepted points,
-    // the drained buffer, the re-measured (now ~zero) drift score, and
+    // nothing left pending, the re-measured (now ~zero) drift score, and
     // the maintenance pass duration histogram.
     if let Response::Metrics { metrics } = client.call(&Request::Metrics)? {
         if let Some(ingest) = &metrics.ingest {
@@ -122,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ingest.maintenance.count()
             );
             assert_eq!(ingest.accepted, streamed);
-            assert_eq!(ingest.buffered, 0, "the rebuild must drain the buffer");
+            assert_eq!(ingest.buffered, 0, "the rebuild must merge every point");
         }
     }
 
