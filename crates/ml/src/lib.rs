@@ -10,8 +10,8 @@
 //! * [`Classifier`] — the common fit/score interface;
 //!   every trainer supports **per-sample weights**, which is what the
 //!   re-weighting baseline (Kamiran–Calders) requires.
-//! * [`LogisticRegression`] — weighted batch
-//!   gradient descent with L2 regularization.
+//! * [`LogisticRegression`] — weighted, L2-regularized, fitted by
+//!   matrix-free Newton-CG to the gradient tolerance.
 //! * [`DecisionTree`] — weighted CART with Gini
 //!   impurity; leaf scores are (Laplace-smoothed) positive fractions.
 //! * [`GaussianNb`] — weighted Gaussian naive

@@ -188,9 +188,19 @@ fn saved_run_report_matches_golden_bytes() {
     run.save_report(&path).unwrap();
     let json = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    // Captured before the codec went streaming: the persisted document
-    // must stay byte-for-byte what older builds wrote and read.
+    // Pins the run's scores as well as their encoding: a change to
+    // training or evaluation that moves any score re-captures this file.
     assert_eq!(json, include_str!("golden/run_report.json"));
+}
+
+#[test]
+fn golden_report_document_round_trips_byte_for_byte() {
+    // Written before the codec went streaming (and before training
+    // solved the logistic fit): whatever the current scores are, a
+    // persisted document must decode and re-encode to the same bytes.
+    let golden = include_str!("golden/run_report_format.json");
+    let report: fsi::RunReport = serde_json::from_str(golden).unwrap();
+    assert_eq!(serde_json::to_string_pretty(&report).unwrap(), golden);
 }
 
 #[test]
