@@ -2,8 +2,7 @@
 //! failing — and what it saves when something is.
 //!
 //! A `ReplicaSet` sits on the per-shard dispatch path of every
-//! replicated slot, so the layer is only shippable if a healthy,
-//! synchronous set (no hedge threshold, no per-attempt deadline) is
+//! replicated slot, so the layer is only shippable if a healthy set is
 //! indistinguishable from dispatching to its member directly. This
 //! suite pins it:
 //!
@@ -37,9 +36,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
 
-/// A synchronous policy: retries only, so dispatch never leaves the
-/// calling thread. `breaker_threshold` / `breaker_reset_ms` are the
-/// scenario knobs.
+/// Two attempts with immediate retries; `breaker_threshold` /
+/// `breaker_reset_ms` are the scenario knobs.
 fn policy(breaker_threshold: u32, breaker_reset_ms: u64) -> ResiliencePolicy {
     ResiliencePolicy {
         max_attempts: 2,
@@ -48,8 +46,6 @@ fn policy(breaker_threshold: u32, breaker_reset_ms: u64) -> ResiliencePolicy {
         backoff_cap_ms: 0,
         jitter_frac: 0.0,
         jitter_seed: 11,
-        attempt_deadline_ms: None,
-        hedge_after_ms: None,
         breaker_threshold,
         breaker_reset_ms,
     }

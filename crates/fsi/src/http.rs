@@ -888,8 +888,8 @@ impl ShardBackend for RemoteShard {
 /// The resilience-aware [`SlotConnector`]: HTTP slots dial through
 /// [`RemoteShard`] exactly like [`RemoteShard::connector`], and
 /// `{"replicas": [...]}` slots additionally wrap their members in an
-/// [`fsi_resil::ReplicaSet`] dispatching under `policy` — retries,
-/// hedging, per-replica circuit breakers. Hand it to
+/// [`fsi_resil::ReplicaSet`] dispatching under `policy` — failover,
+/// retries with backoff, per-replica circuit breakers. Hand it to
 /// [`fsi_serve::Topology::from_spec`] (or use
 /// [`crate::Serving::service_over_with`]) to build a replicated
 /// topology.

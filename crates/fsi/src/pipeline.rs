@@ -451,8 +451,9 @@ impl Serving<'_> {
 
     /// [`Serving::service_over`] with a resilience `policy`: topology
     /// slots of the `{"replicas": [...]}` form are wrapped in an
-    /// [`fsi_resil::ReplicaSet`] (retries, hedging, per-replica circuit
-    /// breakers — see [`crate::http::ResilientConnector`]), and every
+    /// [`fsi_resil::ReplicaSet`] (failover, retries with backoff,
+    /// per-replica circuit breakers — see
+    /// [`crate::http::ResilientConnector`]), and every
     /// HTTP member dials through a [`crate::http::RemoteShard`] whose
     /// reconnect budget follows the policy's attempt budget. Specs
     /// without replica slots build identically to

@@ -229,7 +229,7 @@ pub struct StatsBody {
 }
 
 /// Health of one replica inside a [`ShardHealthBody`] — its circuit
-/// breaker state plus the retry/hedge counters the resilience layer
+/// breaker state plus the retry counters the resilience layer
 /// maintains for it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplicaHealthBody {
@@ -243,16 +243,16 @@ pub struct ReplicaHealthBody {
     pub state: String,
     /// Consecutive failures observed since the last success.
     pub consecutive_failures: u64,
-    /// Attempts dispatched to this replica (first tries + retries +
-    /// hedges).
+    /// Attempts dispatched to this replica (first tries + retries).
     pub attempts: u64,
     /// Attempts that failed with a transport-level (`internal`) error.
     pub failures: u64,
     /// Attempts that were retries of a failed earlier attempt.
     pub retries: u64,
-    /// Hedged (speculative duplicate) attempts sent to this replica.
+    /// Always 0: replica sets no longer hedge. Kept on the wire because
+    /// older decoders require the key.
     pub hedges: u64,
-    /// Hedged attempts that won the race against the primary attempt.
+    /// Always 0, like [`Self::hedges`], and kept for the same reason.
     pub hedge_wins: u64,
     /// Breaker transitions into `open` (closed/half-open → open).
     pub opens: u64,

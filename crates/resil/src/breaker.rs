@@ -103,9 +103,9 @@ impl CircuitBreaker {
             }
             _ => {
                 // Half-open: one probe is in flight. If it never reports
-                // back (an abandoned hedge, a killed thread), re-admit a
-                // probe after another reset window so the breaker cannot
-                // wedge.
+                // back (a dispatch that panicked, a caller that dropped
+                // the outcome), re-admit a probe after another reset
+                // window so the breaker cannot wedge.
                 let since = self.since_ms.load(Ordering::Acquire);
                 if self.now_ms().saturating_sub(since) < self.reset_ms {
                     return false;

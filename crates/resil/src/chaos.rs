@@ -6,7 +6,6 @@ use fsi_proto::{ErrorCode, Request, Response, ShardHealthBody};
 use fsi_serve::{FrozenIndex, ShardBackend, ShardDescriptor, TransportStats};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A remote-control handle to a [`ChaosShard`]'s kill switch, cloneable
 /// and usable after the shard itself moved into a topology.
@@ -31,8 +30,6 @@ impl ChaosSwitch {
 /// * [`ChaosShard::fail_with_probability`] — a seeded splitmix64 stream
 ///   decides per dispatch; the same seed replays the same fault
 ///   pattern.
-/// * [`ChaosShard::delay`] — every forwarded dispatch sleeps first
-///   (for exercising hedges and deadlines).
 /// * [`ChaosShard::switch`] — a shared kill switch: while down, every
 ///   dispatch fails, simulating a dead replica without tearing down a
 ///   socket.
@@ -46,7 +43,6 @@ pub struct ChaosShard {
     error_every: Option<u64>,
     fail_probability: f64,
     rng: AtomicU64,
-    delay: Option<Duration>,
     down: Arc<AtomicBool>,
     calls: AtomicU64,
     injected: Arc<Counter>,
@@ -61,7 +57,6 @@ impl ChaosShard {
             error_every: None,
             fail_probability: 0.0,
             rng: AtomicU64::new(0),
-            delay: None,
             down: Arc::new(AtomicBool::new(false)),
             calls: AtomicU64::new(0),
             injected: Arc::new(Counter::new()),
@@ -80,12 +75,6 @@ impl ChaosShard {
     pub fn fail_with_probability(mut self, p: f64, seed: u64) -> Self {
         self.fail_probability = p.clamp(0.0, 1.0);
         self.rng = AtomicU64::new(seed);
-        self
-    }
-
-    /// Sleeps `delay` before every forwarded dispatch.
-    pub fn delay(mut self, delay: Duration) -> Self {
-        self.delay = Some(delay);
         self
     }
 
@@ -109,7 +98,7 @@ impl ChaosShard {
     }
 
     /// Runs the fault schedule for one call: the injected fault, or
-    /// `forward` after the configured delay.
+    /// `forward`.
     fn faulted(&self, forward: impl FnOnce(&dyn ShardBackend) -> Response) -> Response {
         let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
         if self.down.load(Ordering::Acquire) {
@@ -127,9 +116,6 @@ impl ChaosShard {
             if unit_f64(draw) < self.fail_probability {
                 return self.inject(&format!("seeded failure on dispatch #{call}"));
             }
-        }
-        if let Some(delay) = self.delay {
-            std::thread::sleep(delay);
         }
         forward(self.inner.as_ref())
     }

@@ -9,8 +9,7 @@
 //!
 //! * [`ResiliencePolicy`] — a validated, serde-round-trippable knob
 //!   set: retry budget with exponential backoff and deterministic
-//!   seedable jitter, per-attempt deadline, hedge-after threshold, and
-//!   the circuit-breaker thresholds.
+//!   seedable jitter, and the circuit-breaker thresholds.
 //! * [`CircuitBreaker`] — per-replica consecutive-failure admission
 //!   control with half-open probing; every transition is counted so
 //!   breaker cycles are observable post-hoc from `/metrics`.
@@ -18,15 +17,15 @@
 //!   behind the one [`fsi_serve::ShardBackend`] interface, so
 //!   `Topology`, `TopologySpec` (the `{"replicas": [...]}` slot form)
 //!   and the two-phase rebuild barrier compose unchanged. Idempotent
-//!   requests retry/hedge across replicas; writes and barrier messages
-//!   broadcast to all with all-must-succeed semantics.
+//!   requests fail over and retry across replicas on the calling
+//!   thread; writes and barrier messages broadcast to all with
+//!   all-must-succeed semantics.
 //! * [`ChaosShard`] — deterministic seeded fault injection (kill
-//!   switch, every-Nth errors, seeded drop probability, fixed delay)
-//!   shared by the distributed tests and the resilience benchmark.
+//!   switch, every-Nth errors, seeded drop probability) shared by the
+//!   distributed tests and the resilience benchmark.
 //!
-//! Everything is std-only: threads + channels for hedging, atomics for
-//! breakers and counters, no external dependencies beyond the
-//! workspace's vendored serde.
+//! Everything is std-only: atomics for breakers and counters, no
+//! external dependencies beyond the workspace's vendored serde.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,19 +1,19 @@
 //! The validated, serde-round-trippable resilience policy.
 
 use crate::error::ResilError;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
 use std::time::Duration;
 
 /// How a [`crate::ReplicaSet`] treats failures: how often to retry, how
-/// long to back off, when to hedge, and when to stop sending traffic to
-/// a replica altogether.
+/// long to back off, and when to stop sending traffic to a replica
+/// altogether.
 ///
 /// All durations are whole milliseconds so the policy stays a flat,
 /// hand-editable JSON object (`redistricting_cli serve --resilience
-/// policy.json` reads one). `Option` knobs switch a feature off when
-/// absent, which also keeps older policy files decoding as they gain
-/// fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// policy.json` reads one). Files may still carry the retired
+/// `hedge_after_ms` / `attempt_deadline_ms` keys as `null`; a file that
+/// sets either is refused at decode time.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ResiliencePolicy {
     /// Attempts per idempotent request across the replica set (first
     /// try included). Non-idempotent requests are never retried.
@@ -31,16 +31,6 @@ pub struct ResiliencePolicy {
     pub jitter_frac: f64,
     /// Seed of the jitter stream.
     pub jitter_seed: u64,
-    /// Per-attempt deadline in milliseconds; an attempt that has not
-    /// answered by then counts as failed and the next attempt starts.
-    /// Absent = wait for the transport. Enabling this moves dispatch
-    /// onto a helper thread — see [`crate::ReplicaSet`] for the cost.
-    pub attempt_deadline_ms: Option<u64>,
-    /// Hedge threshold in milliseconds: when the primary attempt has
-    /// not answered by then, a speculative duplicate is sent to another
-    /// replica and the first answer wins. Absent = never hedge. Only
-    /// idempotent requests are ever hedged.
-    pub hedge_after_ms: Option<u64>,
     /// Consecutive transport failures that open a replica's circuit
     /// breaker.
     pub breaker_threshold: u32,
@@ -51,8 +41,8 @@ pub struct ResiliencePolicy {
 
 impl Default for ResiliencePolicy {
     /// Conservative defaults: three attempts with 5 ms → 10 ms → 20 ms
-    /// backoff (+20 % jitter), no deadline, no hedging, breaker opens
-    /// after 3 consecutive failures and probes every 250 ms.
+    /// backoff (+20 % jitter), breaker opens after 3 consecutive
+    /// failures and probes every 250 ms.
     fn default() -> Self {
         Self {
             max_attempts: 3,
@@ -61,8 +51,6 @@ impl Default for ResiliencePolicy {
             backoff_cap_ms: 200,
             jitter_frac: 0.2,
             jitter_seed: 0x5eed_cafe,
-            attempt_deadline_ms: None,
-            hedge_after_ms: None,
             breaker_threshold: 3,
             breaker_reset_ms: 250,
         }
@@ -96,16 +84,6 @@ impl ResiliencePolicy {
                 self.jitter_frac
             )));
         }
-        if self.attempt_deadline_ms == Some(0) {
-            return Err(ResilError::InvalidPolicy(
-                "attempt_deadline_ms must be positive when set (omit it to disable)".into(),
-            ));
-        }
-        if self.hedge_after_ms == Some(0) {
-            return Err(ResilError::InvalidPolicy(
-                "hedge_after_ms must be positive when set (omit it to disable)".into(),
-            ));
-        }
         if self.breaker_threshold == 0 {
             return Err(ResilError::InvalidPolicy(
                 "breaker_threshold must be at least 1".into(),
@@ -119,14 +97,6 @@ impl ResiliencePolicy {
         Ok(())
     }
 
-    /// Whether dispatch can stay on the calling thread: with no hedge
-    /// threshold and no per-attempt deadline there is nothing to race
-    /// against, so the replica set skips thread + channel entirely —
-    /// the fast path the `serving/resil_overhead` benchmark bounds.
-    pub fn is_synchronous(&self) -> bool {
-        self.hedge_after_ms.is_none() && self.attempt_deadline_ms.is_none()
-    }
-
     /// The backoff before retry number `retry` (0-based), jittered from
     /// `rng` (a splitmix64 state, advanced in place).
     pub fn backoff(&self, retry: u32, rng: &mut u64) -> Duration {
@@ -134,6 +104,54 @@ impl ResiliencePolicy {
         let capped = base.min(self.backoff_cap_ms as f64);
         let jitter = capped * self.jitter_frac * unit_f64(splitmix64(rng));
         Duration::from_nanos(((capped + jitter) * 1e6) as u64)
+    }
+}
+
+/// The decode form of a policy file: every [`ResiliencePolicy`] knob
+/// plus the two retired ones. The derive skips unknown keys, so without
+/// them a file that sets a retired knob would decode and silently lose
+/// the behaviour it asked for.
+#[derive(Deserialize)]
+struct PolicyFile {
+    max_attempts: u32,
+    backoff_base_ms: u64,
+    backoff_multiplier: f64,
+    backoff_cap_ms: u64,
+    jitter_frac: f64,
+    jitter_seed: u64,
+    breaker_threshold: u32,
+    breaker_reset_ms: u64,
+    hedge_after_ms: Option<f64>,
+    attempt_deadline_ms: Option<f64>,
+}
+
+impl Deserialize for ResiliencePolicy {
+    /// Decodes a policy, refusing a retired knob that is set; `null` or
+    /// an absent key (how the old encoder wrote an unset knob) still
+    /// decodes.
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, serde::Error> {
+        let file = PolicyFile::deserialize(de)?;
+        for (key, value) in [
+            ("hedge_after_ms", file.hedge_after_ms),
+            ("attempt_deadline_ms", file.attempt_deadline_ms),
+        ] {
+            if value.is_some() {
+                return Err(serde::Error::custom(format!(
+                    "`{key}` was removed: replica sets no longer hedge or \
+                     time out attempts; delete the key or set it to null"
+                )));
+            }
+        }
+        Ok(Self {
+            max_attempts: file.max_attempts,
+            backoff_base_ms: file.backoff_base_ms,
+            backoff_multiplier: file.backoff_multiplier,
+            backoff_cap_ms: file.backoff_cap_ms,
+            jitter_frac: file.jitter_frac,
+            jitter_seed: file.jitter_seed,
+            breaker_threshold: file.breaker_threshold,
+            breaker_reset_ms: file.breaker_reset_ms,
+        })
     }
 }
 
@@ -160,7 +178,6 @@ mod tests {
     fn default_policy_validates_and_round_trips() {
         let policy = ResiliencePolicy::default();
         policy.validate().unwrap();
-        assert!(policy.is_synchronous());
         let json = serde_json::to_string(&policy).unwrap();
         let back: ResiliencePolicy = serde_json::from_str(&json).unwrap();
         assert_eq!(policy, back);
@@ -168,8 +185,8 @@ mod tests {
 
     #[test]
     fn optional_knobs_decode_when_absent() {
-        // A policy file written before deadlines/hedging existed (or
-        // simply omitting them) must decode with the features off.
+        // A policy file without the retired hedge/deadline keys (written
+        // before they existed, or after they went) decodes.
         let wire = r#"{
             "max_attempts": 2,
             "backoff_base_ms": 1,
@@ -182,9 +199,29 @@ mod tests {
         }"#;
         let policy: ResiliencePolicy = serde_json::from_str(wire).unwrap();
         policy.validate().unwrap();
-        assert_eq!(policy.attempt_deadline_ms, None);
-        assert_eq!(policy.hedge_after_ms, None);
-        assert!(policy.is_synchronous());
+    }
+
+    #[test]
+    fn retired_knobs_are_refused_when_set() {
+        // What the old encoder wrote for a default policy: both retired
+        // keys present as `null`. It must keep decoding.
+        let old = r#"{"max_attempts":3,"backoff_base_ms":5,"backoff_multiplier":2.0,
+            "backoff_cap_ms":200,"jitter_frac":0.2,"jitter_seed":1592642302,
+            "attempt_deadline_ms":null,"hedge_after_ms":null,
+            "breaker_threshold":3,"breaker_reset_ms":250}"#;
+        let policy: ResiliencePolicy = serde_json::from_str(old).unwrap();
+        assert_eq!(policy, ResiliencePolicy::default());
+        for key in ["hedge_after_ms", "attempt_deadline_ms"] {
+            for value in ["20", "0", "2.5"] {
+                let set = old.replace(&format!("\"{key}\":null"), &format!("\"{key}\":{value}"));
+                let err = serde_json::from_str::<ResiliencePolicy>(&set).unwrap_err();
+                let message = err.to_string();
+                assert!(
+                    message.contains(key) && message.contains("removed"),
+                    "{key}={value}: {message}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -224,20 +261,6 @@ mod tests {
                 "jitter_frac",
                 ResiliencePolicy {
                     jitter_frac: 1.5,
-                    ..ok.clone()
-                },
-            ),
-            (
-                "attempt_deadline_ms",
-                ResiliencePolicy {
-                    attempt_deadline_ms: Some(0),
-                    ..ok.clone()
-                },
-            ),
-            (
-                "hedge_after_ms",
-                ResiliencePolicy {
-                    hedge_after_ms: Some(0),
                     ..ok.clone()
                 },
             ),

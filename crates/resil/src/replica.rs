@@ -8,9 +8,7 @@ use fsi_obs::{Counter, Histogram};
 use fsi_proto::{ErrorCode, ReplicaHealthBody, Request, Response, ShardHealthBody};
 use fsi_serve::{FrozenIndex, LocalShard, ShardBackend, ShardDescriptor, TransportStats};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Sample one per-replica attempt latency out of this many, so the
 /// resilience layer's bookkeeping stays off the hot path (same
@@ -19,10 +17,9 @@ use std::time::{Duration, Instant};
 const LATENCY_SAMPLE_EVERY: u64 = 64;
 
 /// One member of a [`ReplicaSet`]: the backend plus its breaker and
-/// counters. `Arc`ed so hedged attempts can run on detached threads
-/// that outlive the dispatching call.
+/// counters.
 struct ReplicaSlot {
-    backend: Arc<dyn ShardBackend>,
+    backend: Box<dyn ShardBackend>,
     /// A [`LocalShard::read_twin`] of `backend`, when the member is a
     /// [`LocalShard`] itself ([`ShardBackend::as_local`], which wrappers
     /// never forward): the healthy fast path dispatches pure reads
@@ -42,8 +39,6 @@ struct ReplicaSlot {
     attempts: AtomicU64,
     failures: Counter,
     retries: Counter,
-    hedges: Counter,
-    hedge_wins: Counter,
     latency: Histogram,
 }
 
@@ -91,8 +86,8 @@ impl ReplicaSlot {
             attempts: self.attempts.load(Ordering::Relaxed),
             failures: self.failures.get(),
             retries: self.retries.get(),
-            hedges: self.hedges.get(),
-            hedge_wins: self.hedge_wins.get(),
+            hedges: 0,
+            hedge_wins: 0,
             opens: self.breaker.opens(),
             half_opens: self.breaker.half_opens(),
             closes: self.breaker.closes(),
@@ -110,11 +105,10 @@ fn is_transport_failure(response: &Response) -> bool {
     )
 }
 
-/// Whether a request may be safely re-sent or raced against a
-/// duplicate. Reads are; writes (`Ingest*`) and the rebuild barrier
-/// messages are not — retrying a prepare against one replica of a
-/// barrier the coordinator is already aborting would corrupt the
-/// fleet's generation lockstep.
+/// Whether a request may be safely re-sent. Reads are; writes
+/// (`Ingest*`) and the rebuild barrier messages are not — retrying a
+/// prepare against one replica of a barrier the coordinator is already
+/// aborting would corrupt the fleet's generation lockstep.
 fn is_idempotent(request: &Request) -> bool {
     matches!(
         request,
@@ -134,9 +128,7 @@ fn is_idempotent(request: &Request) -> bool {
 /// * **Idempotent requests** (lookups, range queries, stats scrapes)
 ///   are routed to the first breaker-admitted replica, retried per the
 ///   [`ResiliencePolicy`] with exponential backoff and deterministic
-///   jitter, failing over to sibling replicas; with a hedge threshold
-///   configured, a slow primary is raced against a speculative
-///   duplicate and the first answer wins.
+///   jitter, failing over to sibling replicas.
 /// * **Non-idempotent requests** (ingest, rebuild barrier messages) are
 ///   broadcast to *every* replica with all-must-succeed semantics: the
 ///   first failure is returned verbatim, so a coordinator's prepare
@@ -144,19 +136,12 @@ fn is_idempotent(request: &Request) -> bool {
 ///   keeps replicas in generation lockstep — a replica that missed a
 ///   commit would answer from a stale index and break bit-identity.
 ///
-/// When the policy neither hedges nor sets a deadline
-/// ([`ResiliencePolicy::is_synchronous`]) the whole dispatch stays on
-/// the calling thread — no channel, no allocation beyond the response —
-/// which is the fast path the `serving/resil_*` bench suite bounds at
+/// Every dispatch runs on the calling thread, one attempt at a time; the
+/// healthy path is what the `serving/resil_*` bench suite bounds at
 /// ≤ 1.10x bare dispatch.
 pub struct ReplicaSet {
-    /// `Arc<[_]>` rather than `Arc<Vec<_>>`: the slot data sits inline
-    /// in the Arc allocation, sparing the fast path a dependent load.
-    slots: Arc<[ReplicaSlot]>,
+    slots: Box<[ReplicaSlot]>,
     policy: ResiliencePolicy,
-    /// [`ResiliencePolicy::is_synchronous`], cached at construction so
-    /// the dispatch fast path reads one bool.
-    synchronous: bool,
     rng: AtomicU64,
 }
 
@@ -175,20 +160,17 @@ impl ReplicaSet {
             .into_iter()
             .map(|backend| ReplicaSlot {
                 local: backend.as_local().map(LocalShard::read_twin),
-                backend: Arc::from(backend),
+                backend,
                 breaker: CircuitBreaker::new(policy.breaker_threshold, policy.breaker_reset_ms),
                 attempts: AtomicU64::new(0),
                 failures: Counter::new(),
                 retries: Counter::new(),
-                hedges: Counter::new(),
-                hedge_wins: Counter::new(),
                 latency: Histogram::new(),
             })
-            .collect::<Vec<_>>();
+            .collect();
         Ok(Self {
-            slots: Arc::from(slots),
+            slots,
             rng: AtomicU64::new(policy.jitter_seed),
-            synchronous: policy.is_synchronous(),
             policy,
         })
     }
@@ -196,11 +178,6 @@ impl ReplicaSet {
     /// Number of replicas.
     pub fn replicas(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The policy this set dispatches under.
-    pub fn policy(&self) -> &ResiliencePolicy {
-        &self.policy
     }
 
     /// The replica to try next: the first breaker-admitted slot,
@@ -225,67 +202,49 @@ impl ReplicaSet {
         0
     }
 
-    /// A second replica for a hedged attempt: breaker-admitted and
-    /// different from `primary`, or `None` when the set has no
-    /// admissible sibling (hedging is skipped, not forced).
-    fn pick_hedge(&self, primary: usize) -> Option<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .find(|(i, slot)| *i != primary && slot.breaker.allow())
-            .map(|(i, _)| i)
-    }
-
-    /// The retry/hedge path for idempotent requests.
+    /// The retry path for idempotent requests.
     #[inline]
     fn dispatch_resilient(&self, request: &Request) -> Response {
-        // The healthy fast path — synchronous policy, preferred
-        // replica's breaker quiet (closed, zero streak), tick not
-        // sampled — does one unrecorded inner dispatch: the tick bump
-        // is the only bookkeeping, because a success reported to a
-        // quiet breaker is a no-op by construction. Everything else
-        // (sampling, failures, non-quiet breakers) falls through to the
-        // recorded path. Against a ~60 ns local lookup this is the
-        // difference between passing and failing the suite's ≤ 1.10x
-        // overhead gate.
-        if self.synchronous {
-            if let Some(first) = self.slots.first() {
-                if first.breaker.is_quiet() {
-                    let tick = first.attempts.load(Ordering::Relaxed);
-                    if !tick.is_multiple_of(LATENCY_SAMPLE_EVERY) {
-                        first.attempts.store(tick + 1, Ordering::Relaxed);
-                        // Static dispatch through the read twin when the
-                        // member is a plain local shard — every request
-                        // reaching this path is idempotent, and those all
-                        // serve off the shared handle, so the answer is
-                        // bit-identical to the member's.
-                        let response = match &first.local {
-                            Some(local) => local.dispatch(request),
-                            None => first.backend.dispatch(request),
-                        };
-                        if !is_transport_failure(&response) {
-                            return response;
-                        }
-                        first.failures.inc();
-                        first.breaker.record_failure();
-                        return self.dispatch_retry(request, Some(0), response);
-                    }
-                }
-                if first.breaker.allow() {
-                    let (response, failed) = first.dispatch_recorded(request);
-                    if !failed {
+        // The healthy fast path — preferred replica's breaker quiet
+        // (closed, zero streak), tick not sampled — does one unrecorded
+        // inner dispatch: the tick bump is the only bookkeeping, because
+        // a success reported to a quiet breaker is a no-op by
+        // construction. Everything else (sampling, failures, non-quiet
+        // breakers) falls through to the recorded path. Against a
+        // ~60 ns local lookup this is the difference between passing
+        // and failing the suite's ≤ 1.10x overhead gate.
+        if let Some(first) = self.slots.first() {
+            if first.breaker.is_quiet() {
+                let tick = first.attempts.load(Ordering::Relaxed);
+                if !tick.is_multiple_of(LATENCY_SAMPLE_EVERY) {
+                    first.attempts.store(tick + 1, Ordering::Relaxed);
+                    // Static dispatch through the read twin when the
+                    // member is a plain local shard — every request
+                    // reaching this path is idempotent, and those all
+                    // serve off the shared handle, so the answer is
+                    // bit-identical to the member's.
+                    let response = match &first.local {
+                        Some(local) => local.dispatch(request),
+                        None => first.backend.dispatch(request),
+                    };
+                    if !is_transport_failure(&response) {
                         return response;
                     }
+                    first.failures.inc();
+                    first.breaker.record_failure();
                     return self.dispatch_retry(request, Some(0), response);
                 }
             }
+            if first.breaker.allow() {
+                let (response, failed) = first.dispatch_recorded(request);
+                if !failed {
+                    return response;
+                }
+                return self.dispatch_retry(request, Some(0), response);
+            }
         }
         let slot = self.pick(None);
-        let (response, failed) = if self.policy.is_synchronous() {
-            self.slots[slot].dispatch_recorded(request)
-        } else {
-            self.dispatch_raced(slot, request)
-        };
+        let (response, failed) = self.slots[slot].dispatch_recorded(request);
         if !failed {
             return response;
         }
@@ -314,11 +273,7 @@ impl ReplicaSet {
             }
             let slot = self.pick(avoid);
             self.slots[slot].retries.inc();
-            let (response, failed) = if self.policy.is_synchronous() {
-                self.slots[slot].dispatch_recorded(request)
-            } else {
-                self.dispatch_raced(slot, request)
-            };
+            let (response, failed) = self.slots[slot].dispatch_recorded(request);
             if !failed {
                 return response;
             }
@@ -326,106 +281,6 @@ impl ReplicaSet {
             last_failure = response;
         }
         last_failure
-    }
-
-    /// One attempt on a helper thread, raced against the policy's hedge
-    /// threshold and per-attempt deadline. Returns `(response, failed)`
-    /// like the sync path; a deadline expiry counts as a failure for
-    /// the retry loop but records nothing on the breaker — the helper
-    /// thread reports the attempt's true outcome whenever the transport
-    /// finally answers.
-    fn dispatch_raced(&self, primary: usize, request: &Request) -> (Response, bool) {
-        let (tx, rx) = mpsc::channel();
-        self.spawn_attempt(primary, request, tx.clone());
-        let started = Instant::now();
-        let deadline = self.policy.attempt_deadline_ms.map(Duration::from_millis);
-        let mut in_flight = 1usize;
-        let mut last_failure: Option<Response> = None;
-
-        // Phase one: give the primary its head start, then hedge. A
-        // primary that *fails* within the head start also triggers the
-        // hedge — there is no point waiting out the threshold.
-        if let Some(hedge_after) = self.policy.hedge_after_ms.map(Duration::from_millis) {
-            let wait = match deadline {
-                Some(d) => hedge_after.min(d),
-                None => hedge_after,
-            };
-            match rx.recv_timeout(wait) {
-                Ok((_, response, failed)) => {
-                    if !failed {
-                        return (response, false);
-                    }
-                    in_flight -= 1;
-                    last_failure = Some(response);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return (helper_died_error(), true);
-                }
-            }
-            if let Some(hedge) = self.pick_hedge(primary) {
-                self.slots[hedge].hedges.inc();
-                self.spawn_attempt(hedge, request, tx.clone());
-                in_flight += 1;
-            }
-        }
-        drop(tx);
-
-        // Phase two: first healthy answer wins; a failed answer waits
-        // for any sibling still in flight.
-        while in_flight > 0 {
-            let wait = match deadline {
-                Some(d) => match d.checked_sub(started.elapsed()) {
-                    Some(left) => left,
-                    None => break,
-                },
-                None => Duration::from_secs(3600),
-            };
-            match rx.recv_timeout(wait) {
-                Ok((slot, response, failed)) => {
-                    in_flight -= 1;
-                    if !failed {
-                        if slot != primary {
-                            self.slots[slot].hedge_wins.inc();
-                        }
-                        return (response, false);
-                    }
-                    last_failure = Some(response);
-                }
-                Err(_) => break,
-            }
-        }
-        match last_failure {
-            Some(response) => (response, true),
-            None => (
-                Response::error(
-                    ErrorCode::Internal,
-                    format!(
-                        "replica set: attempt deadline of {} ms expired",
-                        self.policy.attempt_deadline_ms.unwrap_or(0)
-                    ),
-                ),
-                true,
-            ),
-        }
-    }
-
-    /// Runs one recorded attempt on a detached thread. The thread owns
-    /// clones of the slot vector and request, so it can outlive this
-    /// dispatch (an abandoned attempt still reports its outcome to the
-    /// breaker and counters when the transport answers).
-    fn spawn_attempt(
-        &self,
-        slot: usize,
-        request: &Request,
-        tx: mpsc::Sender<(usize, Response, bool)>,
-    ) {
-        let slots = Arc::clone(&self.slots);
-        let request = request.clone();
-        std::thread::spawn(move || {
-            let (response, failed) = slots[slot].dispatch_recorded(&request);
-            let _ = tx.send((slot, response, failed));
-        });
     }
 
     /// The all-must-succeed broadcast for non-idempotent calls: every
@@ -543,19 +398,13 @@ impl ShardBackend for ReplicaSet {
     }
 }
 
-fn helper_died_error() -> Response {
-    Response::error(
-        ErrorCode::Internal,
-        "replica set: attempt helper thread died before answering",
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::ChaosShard;
     use fsi_proto::StatsBody;
     use std::sync::Mutex;
+    use std::time::Duration;
 
     /// A scriptable in-process backend: answers `Stats` with a fixed
     /// generation, fails while `down`, and logs every request kind.
@@ -768,43 +617,56 @@ mod tests {
     }
 
     #[test]
-    fn hedged_dispatch_races_a_slow_primary() {
-        let slow = ChaosShard::new(Box::new(StubShard::new(9))).delay(Duration::from_millis(80));
-        let policy = ResiliencePolicy {
-            hedge_after_ms: Some(5),
-            ..fast_policy()
-        };
-        let set = set_of(vec![Box::new(slow), Box::new(StubShard::new(9))], policy);
-        let start = Instant::now();
-        let response = set.dispatch(&Request::Stats);
-        assert!(!response.is_error());
-        assert!(
-            start.elapsed() < Duration::from_millis(60),
-            "the hedge must answer before the slow primary ({:?})",
-            start.elapsed()
-        );
-        // The late primary still reports back eventually; wait for it
-        // so its detached thread finishes before the test ends.
-        std::thread::sleep(Duration::from_millis(100));
-        let health = ShardBackend::health(&set).unwrap();
-        assert_eq!(health.replicas[1].hedges, 1);
-        assert_eq!(health.replicas[1].hedge_wins, 1);
-    }
-
-    #[test]
-    fn attempt_deadline_fails_over_without_hedging() {
-        let slow = ChaosShard::new(Box::new(StubShard::new(2))).delay(Duration::from_millis(120));
-        let policy = ResiliencePolicy {
-            attempt_deadline_ms: Some(10),
-            ..fast_policy()
-        };
-        let set = set_of(vec![Box::new(slow), Box::new(StubShard::new(2))], policy);
-        let response = set.dispatch(&Request::Stats);
-        let Response::Stats { stats } = response else {
-            panic!("deadline expiry must fail over, got {response:?}");
-        };
-        assert_eq!(stats.generations, vec![2]);
-        std::thread::sleep(Duration::from_millis(150));
+    fn retry_budget_bounds_attempts_when_every_replica_is_down() {
+        // (max_attempts, attempts per replica, retries per replica):
+        // retries alternate away from the replica that just failed.
+        for (max_attempts, attempts, retries) in [(3, [2, 1], [1, 1]), (1, [1, 0], [0, 0])] {
+            let (a, b) = (
+                ChaosShard::new(Box::new(StubShard::new(1))),
+                ChaosShard::new(Box::new(StubShard::new(1))),
+            );
+            a.switch().set_down(true);
+            b.switch().set_down(true);
+            let policy = ResiliencePolicy {
+                max_attempts,
+                ..fast_policy()
+            };
+            let set = set_of(vec![Box::new(a), Box::new(b)], policy);
+            let response = set.dispatch(&Request::Stats);
+            let Response::Error { error } = response else {
+                panic!("a set with every replica down must fail, got {response:?}");
+            };
+            assert_eq!(error.code, ErrorCode::Internal);
+            assert!(
+                error.message.contains("replica is down"),
+                "{}",
+                error.message
+            );
+            let health = ShardBackend::health(&set).unwrap();
+            let per_replica = |get: fn(&ReplicaHealthBody) -> u64| -> Vec<u64> {
+                health.replicas.iter().map(get).collect()
+            };
+            assert_eq!(
+                per_replica(|r| r.attempts),
+                attempts,
+                "max_attempts = {max_attempts}"
+            );
+            assert_eq!(
+                per_replica(|r| r.failures),
+                attempts,
+                "max_attempts = {max_attempts}"
+            );
+            assert_eq!(
+                per_replica(|r| r.retries),
+                retries,
+                "max_attempts = {max_attempts}"
+            );
+            assert_eq!(
+                per_replica(|r| r.attempts).iter().sum::<u64>(),
+                u64::from(max_attempts),
+                "the budget bounds the whole set, not each replica"
+            );
+        }
     }
 
     #[test]
@@ -826,6 +688,20 @@ mod tests {
         assert_eq!(health.kind, "replicas");
         assert_eq!(health.state, "up");
         assert_eq!(health.replicas.len(), 2);
+        for replica in &health.replicas {
+            assert_eq!((replica.hedges, replica.hedge_wins), (0, 0));
+        }
+        // Older decoders need both keys: the derive has no default for
+        // a missing non-`Option` field.
+        let json = fsi_proto::encode_response(&Response::Health {
+            health: Box::new(fsi_proto::HealthBody {
+                shards: vec![health],
+            }),
+        });
+        assert!(
+            json.contains("\"hedges\":0") && json.contains("\"hedge_wins\":0"),
+            "{json}"
+        );
         assert!(set.transport_stats().is_none(), "stubs have no transport");
     }
 }

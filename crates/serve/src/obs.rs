@@ -415,16 +415,6 @@ pub fn prometheus_text(body: &MetricsBody) -> String {
                 "Retries steered to this replica after a sibling failed.",
                 &|r| r.retries,
             );
-            counter(
-                "fsi_resil_hedges_total",
-                "Hedged duplicate attempts sent to this replica.",
-                &|r| r.hedges,
-            );
-            counter(
-                "fsi_resil_hedge_wins_total",
-                "Hedged attempts that answered before the primary.",
-                &|r| r.hedge_wins,
-            );
         }
         e.family(
             "fsi_resil_breaker_transitions_total",
@@ -732,8 +722,6 @@ mod tests {
             "fsi_resil_attempts_total{shard=\"0\",replica=\"1\"} 10\n",
             "fsi_resil_failures_total{shard=\"0\",replica=\"1\"} 4\n",
             "fsi_resil_retries_total{shard=\"0\",replica=\"1\"} 3\n",
-            "fsi_resil_hedges_total{shard=\"0\",replica=\"1\"} 2\n",
-            "fsi_resil_hedge_wins_total{shard=\"0\",replica=\"1\"} 1\n",
             "fsi_resil_breaker_transitions_total{shard=\"0\",replica=\"1\",into=\"open\"} 1\n",
             "fsi_resil_breaker_transitions_total{shard=\"0\",replica=\"1\",into=\"closed\"} 0\n",
             "fsi_resil_breaker_state{shard=\"0\",replica=\"1\",state=\"open\"} 1\n",
@@ -753,6 +741,25 @@ mod tests {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
         assert!(!text.contains("cache"), "{text}");
+        // An older peer's hedge counters still decode, but render no
+        // family: six `fsi_resil_*` families remain.
+        assert!(!text.contains("hedge"), "{text}");
+        let resil: std::collections::BTreeSet<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE fsi_resil_"))
+            .filter_map(|rest| rest.split(' ').next())
+            .collect();
+        assert_eq!(
+            resil.into_iter().collect::<Vec<_>>(),
+            [
+                "attempt_latency_seconds",
+                "attempts_total",
+                "breaker_state",
+                "breaker_transitions_total",
+                "failures_total",
+                "retries_total",
+            ]
+        );
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! #                   as the scatter-gather coordinator; "local" slots are served
 //! #                   in-process, "http://host:port" slots by remote shard servers
 //! # --resilience FILE: a ResiliencePolicy JSON; replica slots of the topology
-//! #                   ({"replicas":[…]}) fail over under it (retries, hedging,
-//! #                   per-replica circuit breakers — requires --topology)
+//! #                   ({"replicas":[…]}) fail over under it (retries with
+//! #                   backoff, per-replica circuit breakers — requires --topology)
 //! # --shard-of IDX:   serve only shard IDX of the topology (a partial index
 //! #                   holding just that slot's leaves) — run one per slot
 //! # --listen ADDR:    speak HTTP/1.1 JSON on ADDR instead of the stdin REPL
@@ -232,8 +232,8 @@ fn serve(dataset: &SpatialDataset, config: ServeConfig) -> Result<(), Box<dyn st
                 Some(policy) => {
                     policy.validate().map_err(|e| e.to_string())?;
                     println!(
-                        "resilience: {} attempts, hedge_after={:?}ms, breaker opens after {} failures",
-                        policy.max_attempts, policy.hedge_after_ms, policy.breaker_threshold
+                        "resilience: {} attempts, breaker opens after {} failures",
+                        policy.max_attempts, policy.breaker_threshold
                     );
                     let connector = fsi::ResilientConnector::new(policy.clone())
                         .with_reconnect_attempts(policy.max_attempts.max(1));

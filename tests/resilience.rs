@@ -43,8 +43,6 @@ fn storm_policy() -> ResiliencePolicy {
         backoff_cap_ms: 0,
         jitter_frac: 0.0,
         jitter_seed: 7,
-        attempt_deadline_ms: None,
-        hedge_after_ms: None,
         breaker_threshold: 2,
         breaker_reset_ms: 150,
     }
@@ -428,7 +426,7 @@ fn replica_topology_spec_round_trips_and_rejects_nesting() {
 #[test]
 fn resilience_policy_files_round_trip_and_validate() {
     let policy = ResiliencePolicy {
-        hedge_after_ms: Some(20),
+        backoff_cap_ms: 20,
         ..ResiliencePolicy::default()
     };
     policy.validate().unwrap();
