@@ -41,7 +41,8 @@ pub fn register(c: &mut Criterion, p: &Profile) {
         points: points.clone(),
     };
     let batch_wire = encode_request(&batch_request);
-    let batch_response = encode_response(&service.dispatch(&batch_request));
+    let decisions = service.dispatch(&batch_request);
+    let batch_response = encode_response(&decisions);
 
     let mut group = c.benchmark_group(format!(
         "serving/proto_n{}_h{}",
@@ -58,8 +59,15 @@ pub fn register(c: &mut Criterion, p: &Profile) {
         b.iter(|| black_box(decode_request(black_box(&lookup_wire)).expect("valid wire")))
     });
 
-    // Wire cost of a full batch round-trip (request decode + response
-    // decode), the dominant serialization work of a batched client.
+    // Wire cost of a full batch round-trip, step by step: the client
+    // encodes the request, the server decodes it and encodes the
+    // decisions, the client decodes them. Floats dominate all four.
+    group.bench_function(format!("encode_batch_x{}", p.serve_batch), |b| {
+        b.iter(|| black_box(encode_request(black_box(&batch_request)).len()))
+    });
+    group.bench_function(format!("encode_response_x{}", p.serve_batch), |b| {
+        b.iter(|| black_box(encode_response(black_box(&decisions)).len()))
+    });
     group.bench_function(format!("decode_batch_x{}", p.serve_batch), |b| {
         b.iter(|| black_box(decode_request(black_box(&batch_wire)).expect("valid wire")))
     });
