@@ -648,7 +648,21 @@ impl HttpClient {
 
     /// Sends a raw body and returns `(status, response body)` without
     /// decoding — the escape hatch for protocol tests.
+    ///
+    /// A body over the server's 16 MiB limit is refused before a byte
+    /// is written: the server would answer 413 and close without
+    /// reading it, so the caller would only see the connection reset
+    /// under its unfinished write.
     pub fn post(&mut self, body: &str) -> Result<(u16, String), FsiError> {
+        if body.len() > MAX_BODY_BYTES {
+            return Err(FsiError::Io(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                format!(
+                    "request body of {} bytes exceeds the server's {MAX_BODY_BYTES}-byte limit",
+                    body.len()
+                ),
+            )));
+        }
         write!(
             self.writer,
             "POST /query HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
@@ -981,6 +995,38 @@ mod tests {
             other => panic!("expected stats, got {other:?}"),
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn post_refuses_an_oversized_body_before_writing_a_byte() {
+        // A bare listener that records every byte it receives: the
+        // refusal has to come from the client, not from a reset under
+        // an unfinished write.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = HttpClient::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let received = std::thread::spawn(move || {
+            let mut bytes = Vec::new();
+            peer.read_to_end(&mut bytes).map(|_| bytes.len())
+        });
+        // No answer ever comes, so a client that did send would time
+        // out here instead of hanging the test.
+        client
+            .writer
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let too_big = MAX_BODY_BYTES + 1;
+        let err = client.post(&" ".repeat(too_big)).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("{too_big} bytes")) && err.contains(&MAX_BODY_BYTES.to_string()),
+            "{err}"
+        );
+        drop(client);
+        assert_eq!(
+            received.join().unwrap().unwrap(),
+            0,
+            "bytes reached the peer"
+        );
     }
 
     #[test]

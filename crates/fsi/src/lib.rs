@@ -68,9 +68,9 @@ pub use fsi_pipeline::{
 pub use fsi_proto::{
     decode_request, decode_response, encode_request, encode_response, CacheStatsBody, DecisionBody,
     ErrorBody, ErrorCode, HealthBody, HttpObsBody, IngestBody, IngestObsBody, MetricsBody,
-    PreparedBody, ProtoError, RebuildObsBody, ReplicaHealthBody, Request, RequestKindMetrics,
-    Response, ShardHealthBody, ShardObsBody, ShardStatsBody, StatsBody, WirePoint, WireRect,
-    PROTO_VERSION,
+    ModelBody, PreparedBody, ProtoError, RebuildObsBody, ReplicaHealthBody, Request,
+    RequestKindMetrics, Response, ShardHealthBody, ShardObsBody, ShardStatsBody, StatsBody,
+    WirePoint, WireRect, PROTO_VERSION,
 };
 pub use fsi_resil::{
     ChaosShard, ChaosSwitch, CircuitBreaker, ReplicaSet, ResilError, ResiliencePolicy,

@@ -276,10 +276,9 @@ impl<'d> Run<'d> {
     /// [`QueryService::maintain`], or in the background via
     /// [`Serving::spawn_maintenance`]. Ingestion stays on the
     /// coordinator: it never forwards an `Ingest` to a shard. Shard
-    /// services ([`Serving::service_shard`]) stay write-free and merge
-    /// the coordinator's shipped log during two-phase rebuilds without
-    /// any ingestion state of their own; an ingesting service refuses
-    /// such a delta, since it owns its log.
+    /// services ([`Serving::service_shard`]) stay write-free and stage
+    /// the model the coordinator trained on seed ∪ log, with neither
+    /// ingestion state nor a dataset of their own.
     pub fn serve_with_ingest(&self, policy: MaintenanceSpec) -> Result<Serving<'d>, FsiError> {
         policy
             .validate()
@@ -476,7 +475,9 @@ impl Serving<'_> {
     /// partial index clipped to that slot's sub-rectangle. A coordinator
     /// built by [`Serving::service_over`] (here or on another machine)
     /// routes this slot's traffic — including two-phase rebuilds — to
-    /// it over HTTP.
+    /// it over HTTP. The shard holds no dataset: a rebuild stages the
+    /// model the coordinator trained, so `Rebuild` and `RebuildPrepare`
+    /// sent to the shard itself answer `rebuild_unavailable`.
     pub fn service_shard(
         &self,
         spec: &TopologySpec,
@@ -486,7 +487,7 @@ impl Serving<'_> {
         let index = self.handle.load();
         let topology = Topology::partial(index.as_ref(), spec.rows, spec.cols, shard)
             .map_err(FsiError::from)?;
-        Ok(QueryService::new(topology).with_rebuild(self.shared_dataset()))
+        Ok(QueryService::new(topology))
     }
 
     /// Attaches the HTTP/1.1 JSON transport to this deployment: binds

@@ -16,15 +16,14 @@
 //!   bound, SLA-style staleness bound. [`MaintenanceSpec::due`] decides
 //!   when a background pass should fold the buffer in.
 //! * [`merge_dataset`] — the deterministic merge that appends logged
-//!   records to the seed dataset in global accept order, so every shard
-//!   that retrains from the same `(seed, delta)` pair builds a
-//!   bit-identical index.
+//!   records to the seed dataset in global accept order, so a retrain
+//!   on the same `(seed, log)` pair builds a bit-identical index.
 //!
 //! The serving layer (`fsi-serve`) wires these into `Request::Ingest` /
-//! `Request::IngestBatch` dispatch on the coordinator and the existing
-//! two-phase `RebuildPrepare`/`RebuildCommit` barrier, which ships the
-//! log to every shard, so streaming writes compose with every layer
-//! above with zero new protocol.
+//! `Request::IngestBatch` dispatch on the coordinator and the two-phase
+//! rebuild barrier: the coordinator alone merges and retrains, and every
+//! shard stages the model it trained (`RebuildStage`), so the log never
+//! leaves the coordinator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

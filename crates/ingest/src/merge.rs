@@ -1,10 +1,11 @@
 //! Deterministic merge of buffered records into a training dataset.
 //!
-//! Every shard in a topology retrains from its own dataset copy during
-//! a two-phase rebuild, and tree splits are global — so the merged
-//! dataset must be a pure function of `(seed, task, records)` with a
-//! fixed row order. [`merge_dataset`] appends one row per record in
-//! global accept (`seq`) order:
+//! The coordinator retrains on the merged dataset for every republish,
+//! and a retrain must be reproducible (a from-scratch rebuild on the
+//! same points serves the same bits) — so the merged dataset must be a
+//! pure function of `(seed, task, records)` with a fixed row order.
+//! [`merge_dataset`] appends one row per record in global accept
+//! (`seq`) order:
 //!
 //! * **location** — the ingested coordinates (which drive every split
 //!   decision);
@@ -36,8 +37,8 @@ fn column_mean(values: &[f64]) -> f64 {
 
 /// Appends `records` to `seed` as new individuals, in ascending `seq`
 /// order. Returns a clone of the seed when `records` is empty. The
-/// result is bit-deterministic: two shards merging the same delta into
-/// the same seed build identical datasets.
+/// result is bit-deterministic: merging the same records into the same
+/// seed, in any input order, builds identical datasets.
 pub fn merge_dataset(
     seed: &SpatialDataset,
     task: &TaskSpec,

@@ -9,8 +9,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IngestRecord {
     /// Global accept order — merges replay records sorted by this, so
-    /// every shard that receives the same delta builds the same
-    /// dataset.
+    /// the same records always build the same dataset.
     pub seq: u64,
     /// Map-space x coordinate.
     pub x: f64,
@@ -23,14 +22,8 @@ pub struct IngestRecord {
 }
 
 impl IngestRecord {
-    /// The wire form of this record (the sequence number is implicit in
-    /// the delta's order).
-    pub fn to_wire(&self) -> IngestBody {
-        IngestBody::new(self.x, self.y, self.group, self.label)
-    }
-
-    /// Rebuilds a record from its wire form and its position in the
-    /// delta.
+    /// Rebuilds a record from its wire form and its position in a
+    /// batch.
     pub fn from_wire(seq: u64, body: &IngestBody) -> Self {
         Self {
             seq,
@@ -55,7 +48,7 @@ mod tests {
             group: 9,
             label: true,
         };
-        let back = IngestRecord::from_wire(42, &r.to_wire());
+        let back = IngestRecord::from_wire(42, &IngestBody::new(0.31, 0.72, 9, true));
         assert_eq!(r, back);
     }
 }

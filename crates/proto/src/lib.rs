@@ -47,7 +47,7 @@ pub use message::{
 };
 pub use wire::{
     CacheStatsBody, DecisionBody, ErrorBody, ErrorCode, ErrorCountBody, HealthBody, HttpObsBody,
-    IngestBody, IngestObsBody, MetricsBody, PreparedBody, RebuildObsBody, RebuildReport,
+    IngestBody, IngestObsBody, MetricsBody, ModelBody, PreparedBody, RebuildObsBody, RebuildReport,
     ReplicaHealthBody, RequestKindMetrics, ShardHealthBody, ShardObsBody, ShardStatsBody,
     StatsBody, WirePoint, WireRect,
 };

@@ -2,8 +2,8 @@
 
 use crate::error::ProtoError;
 use crate::wire::{
-    DecisionBody, ErrorBody, HealthBody, IngestBody, MetricsBody, PreparedBody, RebuildReport,
-    StatsBody, WirePoint, WireRect,
+    DecisionBody, ErrorBody, HealthBody, IngestBody, MetricsBody, ModelBody, PreparedBody,
+    RebuildReport, StatsBody, WirePoint, WireRect,
 };
 use fsi_pipeline::PipelineSpec;
 use serde::{Deserialize, Serialize};
@@ -40,15 +40,15 @@ pub enum Request {
     /// Append one observed point to the serving deployment's ingest log
     /// (the streaming write path). The coordinator keeps the point and
     /// forwards it to no shard; the index itself is untouched until a
-    /// maintenance pass merges the log, rebuilds and ships the log to
-    /// every shard.
+    /// maintenance pass merges the log, retrains and stages the trained
+    /// model on every shard.
     Ingest {
         /// Map-space x coordinate.
         x: f64,
         /// Map-space y coordinate.
         y: f64,
-        /// Opaque cohort tag, logged with the point and shipped with
-        /// the delta; neither the merge nor drift detection reads it.
+        /// Opaque cohort tag, logged with the point; neither the merge
+        /// nor drift detection reads it.
         group: u32,
         /// Observed binary outcome for the served task.
         label: bool,
@@ -67,24 +67,31 @@ pub enum Request {
         /// The pipeline spec the new index is built from.
         spec: PipelineSpec,
     },
-    /// Phase one of an orchestrated two-phase rebuild: retrain with
-    /// `spec` and *stage* the result without serving it. The staged
-    /// index only goes live on a later [`Request::RebuildCommit`], so a
-    /// coordinator can prepare every shard before any of them publishes
-    /// — no client ever observes a mixed-generation fleet.
+    /// Phase one of a two-phase rebuild driven by hand (the REPL
+    /// `prepare` verb): retrain with `spec` on the answering service's
+    /// own dataset and *stage* the result without serving it. The staged
+    /// index only goes live on a later [`Request::RebuildCommit`].
     RebuildPrepare {
         /// The pipeline spec the staged index is built from.
         spec: PipelineSpec,
-        /// Ingested observations to merge into the shard's dataset
-        /// before retraining, in global accept order. Tree splits are
-        /// global, so a maintenance coordinator ships every shard the
-        /// *same* full delta — each shard merges it deterministically
-        /// and the fleet stays bit-identical. Optional so v1 envelopes
-        /// encoded before streaming ingestion existed still decode.
+        /// Retired: shards used to retrain on their seed merged with an
+        /// ingest log shipped here. Always `None` (`null` on the wire);
+        /// [`Request::validate`] refuses a log, which would otherwise be
+        /// silently dropped.
         delta: Option<Vec<IngestBody>>,
     },
+    /// Phase one as a coordinator sends it to a shard: stage the model
+    /// the coordinator trained, compiled and clipped to the shard's
+    /// slot, without training anything or serving it yet. The coordinator
+    /// stages every shard before any of them publishes, so no client
+    /// ever observes a mixed-generation fleet.
+    RebuildStage {
+        /// The trained model (boxed; see [`Response::Stats`]).
+        model: Box<ModelBody>,
+    },
     /// Phase two of an orchestrated rebuild: publish the index staged
-    /// by the last [`Request::RebuildPrepare`].
+    /// by the last [`Request::RebuildPrepare`] or
+    /// [`Request::RebuildStage`].
     RebuildCommit,
     /// Abandon an orchestrated rebuild: drop any staged index without
     /// publishing it. Idempotent — aborting with nothing staged is a
@@ -105,7 +112,8 @@ pub enum Request {
 impl Request {
     /// Semantic validation, run by [`decode_request`] before a request
     /// reaches any service: finite coordinates, ordered rectangle
-    /// extents, and a well-formed rebuild spec.
+    /// extents, a well-formed rebuild spec and a consistent staged
+    /// model.
     pub fn validate(&self) -> Result<(), ProtoError> {
         match self {
             Request::Lookup { x, y } => WirePoint::new(*x, *y).validate(),
@@ -128,19 +136,13 @@ impl Request {
                 Ok(())
             }
             Request::Stats => Ok(()),
-            Request::Rebuild { spec } => spec
+            Request::RebuildPrepare { delta: Some(_), .. } => Err(ProtoError::InvalidRequest(
+                "the `delta` field is retired: shards stage their coordinator's model".into(),
+            )),
+            Request::Rebuild { spec } | Request::RebuildPrepare { spec, .. } => spec
                 .validate()
                 .map_err(|e| ProtoError::InvalidRequest(e.to_string())),
-            Request::RebuildPrepare { spec, delta } => {
-                spec.validate()
-                    .map_err(|e| ProtoError::InvalidRequest(e.to_string()))?;
-                for (index, p) in delta.iter().flatten().enumerate() {
-                    p.validate().map_err(|e| {
-                        ProtoError::InvalidRequest(format!("delta point #{index}: {e}"))
-                    })?;
-                }
-                Ok(())
-            }
+            Request::RebuildStage { model } => model.validate(),
             Request::RebuildCommit | Request::RebuildAbort | Request::Metrics | Request::Health => {
                 Ok(())
             }
@@ -195,8 +197,9 @@ pub enum Response {
         /// What the rebuild did (boxed; see [`Response::Stats`]).
         report: Box<RebuildReport>,
     },
-    /// Answer to [`Request::RebuildPrepare`]: the index is staged,
-    /// waiting for the commit.
+    /// Answer to [`Request::RebuildPrepare`] and
+    /// [`Request::RebuildStage`]: the index is staged, waiting for the
+    /// commit.
     Prepared {
         /// What was staged (boxed; see [`Response::Stats`]).
         prepared: Box<PreparedBody>,
@@ -346,15 +349,28 @@ mod tests {
                 spec: PipelineSpec::new(TaskSpec::act(), Method::MedianKd, 3),
                 delta: None,
             },
-            Request::RebuildPrepare {
-                spec: PipelineSpec::new(TaskSpec::act(), Method::MedianKd, 3),
-                delta: Some(vec![IngestBody::new(0.31, 0.72, 2, false)]),
+            Request::RebuildStage {
+                model: Box::new(sample_model()),
             },
             Request::RebuildCommit,
             Request::RebuildAbort,
             Request::Metrics,
             Request::Health,
         ]
+    }
+
+    /// A 2×2 grid split into two column neighborhoods.
+    fn sample_model() -> ModelBody {
+        let grid = fsi_geo::Grid::unit(2).unwrap();
+        let partition = fsi_geo::Partition::from_assignment(&grid, vec![0, 1, 0, 1]).unwrap();
+        let snapshot =
+            fsi_pipeline::ModelSnapshot::new(vec![0.25, 0.1 + 0.2], vec![0.125, -0.5], vec![0, 1])
+                .unwrap();
+        ModelBody {
+            grid,
+            partition,
+            snapshot,
+        }
     }
 
     fn sample_responses() -> Vec<Response> {
@@ -711,12 +727,102 @@ mod tests {
         };
         let err = bad_batch.validate().unwrap_err();
         assert!(err.to_string().contains("ingest point #1"), "{err}");
-        let bad_delta = Request::RebuildPrepare {
+    }
+
+    #[test]
+    fn a_retired_delta_is_refused_at_decode_time() {
+        // What a coordinator from before `RebuildStage` sent: its whole
+        // ingest log in `delta`. Decoding it must fail loudly rather
+        // than stage an index that silently forgets the log.
+        let null = encode_request(&Request::RebuildPrepare {
             spec: PipelineSpec::new(TaskSpec::act(), Method::MedianKd, 3),
-            delta: Some(vec![IngestBody::new(f64::NEG_INFINITY, 0.5, 0, false)]),
+            delta: None,
+        });
+        let with_log = |log: &str| null.replace(r#""delta":null"#, &format!(r#""delta":{log}"#));
+        let old = with_log(r#"[{"x":0.31,"y":0.72,"group":2,"label":false}]"#);
+        assert_ne!(old, null, "expected a delta field to fill");
+        let err = decode_request(&old).unwrap_err();
+        assert!(matches!(err, ProtoError::InvalidRequest(_)), "{err}");
+        assert!(
+            err.to_string().contains("`delta` field is retired"),
+            "{err}"
+        );
+        // An empty log is a log too; only `null` or no key decodes.
+        assert!(decode_request(&with_log("[]")).is_err());
+        let Request::RebuildPrepare { spec, delta: None } = decode_request(&null).unwrap() else {
+            panic!("a null delta must still decode");
         };
-        let err = bad_delta.validate().unwrap_err();
-        assert!(err.to_string().contains("delta point #0"), "{err}");
+        assert_eq!(spec.height, 3);
+    }
+
+    #[test]
+    fn hostile_stage_models_fail_validation_on_decode() {
+        let wire = |model: ModelBody| {
+            encode_request(&Request::RebuildStage {
+                model: Box::new(model),
+            })
+        };
+        let refused = |wire: &str, needle: &str| {
+            let err = decode_request(wire).unwrap_err();
+            assert!(matches!(err, ProtoError::InvalidRequest(_)), "{err}");
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        };
+        let good = wire(sample_model());
+        assert_eq!(
+            decode_request(&good).unwrap(),
+            Request::RebuildStage {
+                model: Box::new(sample_model())
+            }
+        );
+        // An assignment that does not cover the grid, including one
+        // whose grid would overflow `rows × cols`: refused on lengths
+        // alone, before anything sized by the grid exists.
+        refused(
+            &good.replace("[0,1,0,1]", "[0,1,0]"),
+            "partition of 3 cells does not cover the 2x2 grid",
+        );
+        let huge = good.replace(
+            r#""rows":2,"cols":2"#,
+            r#""rows":4294967296,"cols":4294967296"#,
+        );
+        assert_ne!(huge, good);
+        refused(&huge, "does not cover the 4294967296x4294967296 grid");
+        let empty = good.replace(r#""rows":2,"cols":2"#, r#""rows":0,"cols":2"#);
+        let empty = empty
+            .replace("[0,1,0,1]", "[]")
+            .replace(r#""grid_rows":2"#, r#""grid_rows":0"#);
+        refused(&empty, "a partition of 0 cells does not cover the 0x2 grid");
+        // A region id past the leaf count.
+        refused(
+            &good.replace("[0,1,0,1]", "[0,1,0,2]"),
+            "cell 3 names region 2 of 2",
+        );
+        // Snapshot vectors that disagree with each other or with the
+        // partition's region count.
+        refused(
+            &good.replace(r#""group_of_leaf":[0,1]"#, r#""group_of_leaf":[0]"#),
+            "2 regions but 2 raw scores, 2 offsets and 1 groups",
+        );
+        refused(
+            &good.replace(r#""num_regions":2"#, r#""num_regions":3"#),
+            "3 regions but 2 raw scores",
+        );
+        // A non-finite score (JSON carries one only as `null`).
+        refused(
+            &good.replace(r#""offset":[0.125,-0.5]"#, r#""offset":[0.125,null]"#),
+            "leaf 1 has a non-finite score",
+        );
+    }
+
+    #[test]
+    fn request_stays_narrow_for_the_lookup_hot_path() {
+        // `decode_request` returns every lookup's Request by value, so
+        // the rare stage payload is boxed rather than inlined.
+        assert!(
+            std::mem::size_of::<Request>() <= 128,
+            "Request grew to {} bytes — box the new variant",
+            std::mem::size_of::<Request>()
+        );
     }
 
     #[test]

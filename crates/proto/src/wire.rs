@@ -2,8 +2,9 @@
 //! no behavior beyond validation, shared by every transport.
 
 use crate::error::ProtoError;
+use fsi_geo::{Grid, Partition};
 use fsi_obs::HistogramSnapshot;
-use fsi_pipeline::PipelineSpec;
+use fsi_pipeline::{ModelSnapshot, PipelineSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
@@ -87,19 +88,17 @@ impl WireRect {
 }
 
 /// One ingested observation on the wire: where the point landed, the
-/// cohort tag it arrived with, and its observed binary outcome.
-///
-/// Shared by [`crate::Request::IngestBatch`] and the optional ingest
-/// delta a coordinator ships inside [`crate::Request::RebuildPrepare`]
-/// so every shard retrains on the identical merged dataset.
+/// cohort tag it arrived with, and its observed binary outcome — the
+/// payload of [`crate::Request::Ingest`] and
+/// [`crate::Request::IngestBatch`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IngestBody {
     /// Map-space x coordinate.
     pub x: f64,
     /// Map-space y coordinate.
     pub y: f64,
-    /// Opaque cohort tag, logged with the point and shipped with the
-    /// delta; neither the merge nor drift detection reads it.
+    /// Opaque cohort tag, logged with the point; neither the merge nor
+    /// drift detection reads it.
     pub group: u32,
     /// Observed binary outcome for the served task.
     pub label: bool,
@@ -115,6 +114,65 @@ impl IngestBody {
     /// [`WirePoint::validate`].
     pub fn validate(&self) -> Result<(), ProtoError> {
         WirePoint::new(self.x, self.y).validate()
+    }
+}
+
+/// A trained model on the wire — the body of
+/// [`crate::Request::RebuildStage`]: the base grid, the cell →
+/// neighborhood partition and the per-neighborhood scores, exactly the
+/// inputs of `FrozenIndex::from_partition`. A coordinator trains once
+/// and ships this to every remote shard, which compiles and stages it
+/// without training anything.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ModelBody {
+    /// The base grid the partition assigns.
+    pub grid: Grid,
+    /// One neighborhood (leaf) id per grid cell.
+    pub partition: Partition,
+    /// Per-leaf raw score, calibration offset and fairness group.
+    pub snapshot: ModelSnapshot,
+}
+
+impl ModelBody {
+    /// Re-checks what the derived decoders skip: the partition covers
+    /// the grid (its length is compared before anything sized by the
+    /// grid is built), every region id names a snapshot leaf, the
+    /// snapshot's vectors agree, and every score is finite.
+    pub fn validate(&self) -> Result<(), ProtoError> {
+        let invalid = |msg: String| Err(ProtoError::InvalidRequest(format!("stage model: {msg}")));
+        let (rows, cols) = (self.grid.rows(), self.grid.cols());
+        let assignment = self.partition.assignments();
+        let cells = rows.checked_mul(cols).filter(|&n| n > 0);
+        if cells != Some(assignment.len()) || self.partition.grid_shape() != (rows, cols) {
+            return invalid(format!(
+                "a partition of {} cells does not cover the {rows}x{cols} grid",
+                assignment.len()
+            ));
+        }
+        let s = &self.snapshot;
+        let leaves = s.num_leaves();
+        if self.partition.num_regions() != leaves
+            || s.offsets().len() != leaves
+            || s.groups().len() != leaves
+        {
+            return invalid(format!(
+                "{} regions but {leaves} raw scores, {} offsets and {} groups",
+                self.partition.num_regions(),
+                s.offsets().len(),
+                s.groups().len()
+            ));
+        }
+        if let Some(cell) = assignment.iter().position(|&r| r as usize >= leaves) {
+            return invalid(format!(
+                "cell {cell} names region {} of {leaves}",
+                assignment[cell]
+            ));
+        }
+        let finite = |l: usize| s.raw_scores()[l].is_finite() && s.offsets()[l].is_finite();
+        if let Some(leaf) = (0..leaves).find(|&l| !finite(l)) {
+            return invalid(format!("leaf {leaf} has a non-finite score"));
+        }
+        Ok(())
     }
 }
 
@@ -502,9 +560,11 @@ pub struct PreparedBody {
     pub num_leaves: usize,
     /// Approximate heap footprint of the staged index, in bytes.
     pub heap_bytes: usize,
-    /// ENCE of the retrained model over the full population.
+    /// ENCE of the retrained model over the full population; `0` from
+    /// a slot that trained nothing and staged a shipped model.
     pub ence: f64,
-    /// Wall-clock of training + compile for the staged index.
+    /// Wall-clock of training + compile for the staged index; zero
+    /// from a slot that staged a shipped model.
     pub build_time: Duration,
 }
 

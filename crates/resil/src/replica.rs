@@ -341,7 +341,7 @@ impl ShardBackend for ReplicaSet {
     }
 
     /// Every member stages: in-process members the coordinator's
-    /// `index`, remote ones by retraining on `request`. All must
+    /// `index`, remote ones the model `request` ships. All must
     /// succeed, so members stay in generation lockstep.
     fn prepare(&self, index: &FrozenIndex, request: &Request) -> Response {
         self.broadcast(|backend| backend.prepare(index, request))

@@ -405,6 +405,13 @@ impl FrozenIndex {
         (self.grid.rows(), self.grid.cols())
     }
 
+    /// The whole base grid the index was compiled over (a partial index
+    /// keeps the global grid).
+    #[inline]
+    pub(crate) fn grid(&self) -> &Grid {
+        &self.grid
+    }
+
     /// Map bounds accepted by lookups — the clipped block's extent for
     /// a partial index, the whole map otherwise.
     #[inline]

@@ -66,7 +66,7 @@ pub(crate) fn kind_index(request: &Request) -> usize {
         Request::RangeQuery { .. } => 2,
         Request::Stats => 3,
         Request::Rebuild { .. } => 4,
-        Request::RebuildPrepare { .. } => 5,
+        Request::RebuildPrepare { .. } | Request::RebuildStage { .. } => 5,
         Request::RebuildCommit => 6,
         Request::RebuildAbort => 7,
         Request::Metrics => 8,

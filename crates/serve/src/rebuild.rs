@@ -1,7 +1,8 @@
 //! Building served indexes: run the training pipeline for a
 //! [`PipelineSpec`] and compile the result. A live deployment
 //! republishes through [`crate::QueryService`]'s two-phase barrier
-//! (`Rebuild`), which trains with [`build_index`].
+//! (`Rebuild`), which trains and compiles the same way on the
+//! coordinator and ships the trained model to every shard.
 
 use crate::error::ServeError;
 use crate::frozen::FrozenIndex;

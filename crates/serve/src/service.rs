@@ -9,13 +9,16 @@
 //! spawned only to overlap transport round-trips — see
 //! `QueryService::fanout`), stats report one row per shard, and (when
 //! constructed with a dataset via [`QueryService::with_rebuild`])
-//! rebuilds run a **two-phase generation barrier**: every shard stages
-//! the retrained index before any shard publishes, so no client ever
-//! observes a mixed-generation fleet mid-rebuild. A local slot answers
-//! from this clone's reader through `LocalShard::read`, the one place
-//! an in-process read is answered; every other slot is forwarded to.
-//! Ingestion stays on the coordinator: shards never see an `Ingest`,
-//! only the accumulated log a maintenance rebuild ships them.
+//! rebuilds run a **two-phase generation barrier**: the coordinator
+//! trains once, every shard stages the trained model before any shard
+//! publishes, and so no client ever observes a mixed-generation fleet
+//! mid-rebuild. A remote shard receives the model itself in a
+//! [`Request::RebuildStage`], compiles it and trains nothing, so a shard
+//! service needs no dataset. A local slot answers from this clone's
+//! reader through `LocalShard::read`, the one place an in-process read
+//! is answered; every other slot is forwarded to. Ingestion stays on
+//! the coordinator: shards never see an `Ingest`, only the model a
+//! maintenance rebuild trained on the seed and the log.
 //!
 //! The service is **cheap to clone and single-threaded by design**:
 //! each clone owns its per-shard [`IndexReader`]s, while the topology
@@ -41,9 +44,9 @@ use fsi_ingest::{
 use fsi_obs::{Histogram, Recorder, Registry};
 use fsi_pipeline::{MethodRun, PipelineError, PipelineSpec, TaskSpec};
 use fsi_proto::{
-    DecisionBody, ErrorCode, ErrorCountBody, HealthBody, IngestBody, MetricsBody, PreparedBody,
-    RebuildObsBody, Request, RequestKindMetrics, Response, ShardHealthBody, ShardObsBody,
-    ShardStatsBody, StatsBody, WirePoint, WireRect,
+    DecisionBody, ErrorBody, ErrorCode, ErrorCountBody, HealthBody, IngestBody, MetricsBody,
+    ModelBody, PreparedBody, RebuildObsBody, Request, RequestKindMetrics, Response,
+    ShardHealthBody, ShardObsBody, ShardStatsBody, StatsBody, WirePoint, WireRect,
 };
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -79,14 +82,12 @@ impl From<DecisionBody> for Decision {
 /// The streaming-ingestion state of a service, shared by every clone
 /// (transport workers ingest concurrently).
 ///
-/// The buffer is the coordinator's one accept-ordered ingest log. Remote
-/// shards retrain from their own seed copy and tree splits are global,
-/// so every maintenance pass trains on the seed merged with the *whole*
-/// log and ships that same log to every shard in
-/// [`Request::RebuildPrepare`]'s `delta`; each shard merges it
-/// deterministically and the fleet stays bit-identical. Only after the
-/// commit is the shipped prefix marked merged and the baseline advanced
-/// by its cell deltas, so a failed pass changes nothing.
+/// The buffer is the coordinator's one accept-ordered ingest log. Every
+/// maintenance pass trains on the seed merged with the *whole* log and
+/// stages the trained model on every shard, so the log itself never
+/// leaves the coordinator. Only after the commit is the trained prefix
+/// marked merged and the baseline advanced by its cell deltas, so a
+/// failed pass changes nothing.
 struct IngestState {
     buffer: DeltaBuffer,
     /// Per-cell statistics of the currently *published* dataset (seed
@@ -166,10 +167,11 @@ impl QueryService {
     }
 
     /// Enables spec-driven rebuilds: a `Rebuild{spec}` request retrains
-    /// the pipeline on `dataset` and publishes the compiled index to
-    /// every shard through the two-phase barrier, and the
-    /// `RebuildPrepare` / `RebuildCommit` pair lets an upstream
-    /// coordinator drive this service as one shard of *its* fleet.
+    /// the pipeline on `dataset` and publishes the trained model to
+    /// every shard through the two-phase barrier, and a `RebuildPrepare`
+    /// stages one by hand. Only a coordinator needs this: a shard stages
+    /// the model its coordinator ships ([`Request::RebuildStage`]) with
+    /// no dataset of its own.
     #[must_use]
     pub fn with_rebuild(mut self, dataset: Arc<SpatialDataset>) -> Self {
         self.rebuild_dataset = Some(dataset);
@@ -303,9 +305,8 @@ impl QueryService {
             Request::IngestBatch { points } => self.ingest_batch(points),
             Request::Stats => self.stats(),
             Request::Rebuild { spec } => self.rebuild(spec),
-            Request::RebuildPrepare { spec, delta } => {
-                self.rebuild_prepare(request, spec, delta.as_deref())
-            }
+            Request::RebuildPrepare { spec, .. } => self.rebuild_prepare(spec),
+            Request::RebuildStage { model } => self.rebuild_stage(request, model),
             Request::RebuildCommit => self.rebuild_commit(),
             Request::RebuildAbort => self.rebuild_abort(),
             Request::Metrics => self.metrics(),
@@ -963,16 +964,16 @@ impl QueryService {
     }
 
     /// Trains `spec` on the rebuild dataset merged with `log`, in log
-    /// order (an empty log trains on the seed itself). Labels are read
-    /// under `spec.task`, exactly as every shard that receives the same
-    /// log as a prepare's `delta` reads them, so the fleet stays
-    /// bit-identical. The one mapping from training failures to
+    /// order (an empty log trains on the seed itself), with labels read
+    /// under `spec.task`. Answers the compiled index, the run behind it
+    /// and the [`Request::RebuildStage`] that ships the same model to
+    /// forwarded slots. The one mapping from training failures to
     /// protocol errors.
     fn train(
         &self,
         spec: &PipelineSpec,
         log: &[IngestRecord],
-    ) -> Result<(FrozenIndex, MethodRun), Response> {
+    ) -> Result<(FrozenIndex, MethodRun, Request), Response> {
         let Some(seed) = self.rebuild_dataset.as_deref() else {
             return Err(Response::error(
                 ErrorCode::RebuildUnavailable,
@@ -988,19 +989,28 @@ impl QueryService {
             })?;
             &merged
         };
-        build_index(dataset, spec).map_err(|e| match e {
+        let (index, run) = build_index(dataset, spec).map_err(|e| match e {
             ServeError::Pipeline(PipelineError::InvalidConfig(msg)) => {
                 Response::error(ErrorCode::InvalidSpec, msg)
             }
             e => Response::error(ErrorCode::Internal, e.to_string()),
-        })
+        })?;
+        let snapshot = run
+            .model_snapshot()
+            .map_err(|e| Response::error(ErrorCode::Internal, e.to_string()))?;
+        let model = Box::new(ModelBody {
+            grid: dataset.grid().clone(),
+            partition: run.partition.clone(),
+            snapshot,
+        });
+        Ok((index, run, Request::RebuildStage { model }))
     }
 
     /// Phase one on every slot, through [`Self::fanout`]: in-process
-    /// backends stage `index`, and the rest receive `request` (a
-    /// [`Request::RebuildPrepare`]) and retrain on their own data, on
-    /// overlapping threads when a transport sits underneath. Any failure
-    /// aborts every slot. Returns each slot's staged report.
+    /// backends stage `index`, and the rest receive `request` (the
+    /// [`Request::RebuildStage`] carrying the model `index` was compiled
+    /// from), on overlapping threads when a transport sits underneath.
+    /// Any failure aborts every slot. Returns each slot's staged report.
     fn prepare_all(
         &self,
         index: &FrozenIndex,
@@ -1070,9 +1080,8 @@ impl QueryService {
     /// [`QueryService::maintain`], run under the topology's barrier lock
     /// from training to commit. With ingestion configured it is a
     /// maintenance pass: the index trains on the seed merged with the
-    /// whole ingest log as it stands, and that log rides every prepare
-    /// as its `delta` (otherwise the published index would forget every
-    /// streamed point). Only after the commit is that prefix marked
+    /// whole ingest log as it stands, and every slot stages that one
+    /// trained model. Only after the commit is that prefix marked
     /// merged and the baseline advanced by its cell deltas — the sums
     /// are integer-valued, so this equals `baseline_stats` over the
     /// merged dataset bit for bit. On failure nothing changes: the old
@@ -1083,14 +1092,8 @@ impl QueryService {
         let log = self.ingest.as_ref().map(|state| state.buffer.log());
         let published = self
             .train(spec, log.as_deref().unwrap_or_default())
-            .and_then(|(index, run)| {
-                let request = Request::RebuildPrepare {
-                    spec: spec.clone(),
-                    delta: log
-                        .as_ref()
-                        .map(|log| log.iter().map(IngestRecord::to_wire).collect()),
-                };
-                self.prepare_all(&index, &request)?;
+            .and_then(|(index, run, stage)| {
+                self.prepare_all(&index, &stage)?;
                 Ok((index, run, self.commit_all()?))
             });
         let (index, run, generation) = match published {
@@ -1160,44 +1163,60 @@ impl QueryService {
         }
     }
 
+    /// Phase one driven by hand (the REPL `prepare` verb): train `spec`
+    /// on this service's own dataset, then stage the model on every
+    /// slot. Nothing is served until the commit.
+    fn rebuild_prepare(&self, spec: &PipelineSpec) -> Response {
+        let _barrier = self.topology.lock_barrier();
+        match self.train(spec, &[]) {
+            Ok((index, run, stage)) => {
+                self.stage_all(&index, &stage, run.eval.full.ence, run.build_time)
+            }
+            Err(response) => response,
+        }
+    }
+
     /// Phase one when *this* service is a shard (or mid-tier
-    /// coordinator) of an upstream fleet: train, then prepare every slot
-    /// of this topology with the same `request`. Nothing is served until
-    /// the commit.
-    ///
-    /// A `delta` (a maintenance coordinator's full ingest log) is
-    /// merged into this shard's own seed dataset before retraining —
-    /// the merge is deterministic, so every shard that receives the
-    /// same `(spec, delta)` stages a bit-identical index. The task the
-    /// labels are interpreted under rides in `spec.task`, so a shard
-    /// needs no ingestion configuration of its own to participate. An
-    /// ingesting service is a coordinator that owns its own log, so it
-    /// refuses a delta with [`ErrorCode::RebuildUnavailable`].
-    fn rebuild_prepare(
-        &self,
-        request: &Request,
-        spec: &PipelineSpec,
-        delta: Option<&[IngestBody]>,
-    ) -> Response {
-        if self.ingest.is_some() && delta.is_some() {
+    /// coordinator) of an upstream fleet: compile the model the
+    /// coordinator trained and stage it on every slot, forwarding
+    /// `request` to the rest. Nothing is trained here, so a shard needs
+    /// no dataset. A model that fails validation, or whose grid differs
+    /// from any in-process slot's, stages nothing; forwarded slots check
+    /// their own grids.
+    fn rebuild_stage(&self, request: &Request, model: &ModelBody) -> Response {
+        if let Err(e) = model.validate() {
+            return Response::Error {
+                error: ErrorBody::from(&e),
+            };
+        }
+        let mut local = self.topology.backends().iter().filter_map(|b| b.as_local());
+        if let Some(served) = local.find(|l| *l.handle().load().grid() != model.grid) {
+            let served = served.handle().load().grid().clone();
             return Response::error(
-                ErrorCode::RebuildUnavailable,
-                "an ingesting service coordinates its own ingest log; \
-                 it cannot merge a delta shipped by another coordinator",
+                ErrorCode::InvalidSpec,
+                format!(
+                    "the staged model's {:?} differs from the served {served:?}",
+                    model.grid
+                ),
             );
         }
         let _barrier = self.topology.lock_barrier();
-        let log: Vec<IngestRecord> = delta
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-            .map(|(i, b)| IngestRecord::from_wire(i as u64, b))
-            .collect();
-        let (index, run) = match self.train(spec, &log) {
-            Ok(trained) => trained,
-            Err(response) => return response,
-        };
-        let staged = match self.prepare_all(&index, request) {
+        match FrozenIndex::from_partition(&model.partition, &model.grid, &model.snapshot) {
+            Ok(index) => self.stage_all(&index, request, 0.0, Duration::ZERO),
+            Err(e) => Response::error(ErrorCode::Internal, format!("compile failed: {e}")),
+        }
+    }
+
+    /// Stages `index` on every slot ([`Self::prepare_all`]) and answers
+    /// what was staged, with the trainer's `ence` and `build_time`.
+    fn stage_all(
+        &self,
+        index: &FrozenIndex,
+        request: &Request,
+        ence: f64,
+        build_time: Duration,
+    ) -> Response {
+        let staged = match self.prepare_all(index, request) {
             Ok(staged) => staged,
             Err(response) => return response,
         };
@@ -1211,8 +1230,8 @@ impl QueryService {
             prepared: Box::new(PreparedBody {
                 num_leaves,
                 heap_bytes,
-                ence: run.eval.full.ence,
-                build_time: run.build_time,
+                ence,
+                build_time,
             }),
         }
     }
@@ -1327,8 +1346,8 @@ mod tests {
     }
 
     /// A 2×2 coordinator whose NE and SW slots are "remote" shard
-    /// servers over partial indexes (stubbed in-process), with the other
-    /// two slots local partial indexes.
+    /// servers over partial indexes (stubbed in-process, without a
+    /// dataset), with the other two slots local partial indexes.
     fn mixed(rebuild: Option<Arc<SpatialDataset>>) -> QueryService {
         let spec = TopologySpec {
             rows: 2,
@@ -1342,10 +1361,7 @@ mod tests {
         };
         let topology = Topology::from_spec(&spec, index(), |addr: &str| {
             let slot: usize = addr.strip_prefix("shard:").unwrap().parse().unwrap();
-            let mut inner = QueryService::new(Topology::partial(&index(), 2, 2, slot).unwrap());
-            if let Some(dataset) = &rebuild {
-                inner = inner.with_rebuild(Arc::clone(dataset));
-            }
+            let inner = QueryService::new(Topology::partial(&index(), 2, 2, slot).unwrap());
             Ok(Box::new(StubRemote {
                 addr: addr.to_string(),
                 inner: Mutex::new(inner),
@@ -1558,6 +1574,97 @@ mod tests {
         match fresh.dispatch(&Request::RebuildCommit) {
             Response::Error { error } => assert_eq!(error.code, ErrorCode::NotPrepared),
             other => panic!("expected error, got {other:?}"),
+        }
+    }
+
+    /// A model for the test grid whose scores differ from [`index`]'s.
+    fn model_on(grid: Grid) -> ModelBody {
+        ModelBody {
+            partition: Partition::uniform(&grid, 2, 2).unwrap(),
+            snapshot: ModelSnapshot::new(vec![0.7, 0.1, 0.5, 0.3], vec![0.05; 4], vec![3, 2, 1, 0])
+                .unwrap(),
+            grid,
+        }
+    }
+
+    #[test]
+    fn a_shard_without_a_dataset_refuses_hostile_models_and_stages_a_valid_one() {
+        let mut shard = QueryService::new(Topology::partial(&index(), 1, 2, 1).unwrap());
+        let good = serde_json::to_string(&model_on(Grid::unit(8).unwrap())).unwrap();
+        let decoded = |wire: String| -> ModelBody {
+            serde_json::from_str(&wire).unwrap_or_else(|e| panic!("{wire}: {e}"))
+        };
+        let cells: Vec<String> = (0..64)
+            .map(|c| ((c % 8) / 4 + 2 * (c / 32)).to_string())
+            .collect();
+        let assignment = format!("[{}]", cells.join(","));
+        assert!(good.contains(&assignment), "{good}");
+        let refused = [
+            (
+                good.replace(&assignment, &format!("[{}]", cells[1..].join(","))),
+                ErrorCode::MalformedRequest,
+                "partition of 63 cells",
+            ),
+            (
+                good.replace(&assignment, &assignment.replacen('3', "4", 1)),
+                ErrorCode::MalformedRequest,
+                "names region 4 of 4",
+            ),
+            (
+                good.replace("[3,2,1,0]", "[3,2,1]"),
+                ErrorCode::MalformedRequest,
+                "4 regions but 4 raw scores, 4 offsets and 3 groups",
+            ),
+            (
+                good.replace("0.7,", "null,"),
+                ErrorCode::MalformedRequest,
+                "leaf 0 has a non-finite score",
+            ),
+            (
+                serde_json::to_string(&model_on(Grid::unit(4).unwrap())).unwrap(),
+                ErrorCode::InvalidSpec,
+                "rows: 4, cols: 4 } differs from the served Grid {",
+            ),
+        ];
+        for (wire, code, needle) in refused {
+            let stage = Request::RebuildStage {
+                model: Box::new(decoded(wire)),
+            };
+            match shard.dispatch(&stage) {
+                Response::Error { error } => {
+                    assert_eq!(error.code, code, "{needle}: {error:?}");
+                    assert!(error.message.contains(needle), "{needle}: {error:?}");
+                }
+                other => panic!("{needle}: expected a refusal, got {other:?}"),
+            }
+            match shard.dispatch(&Request::RebuildCommit) {
+                Response::Error { error } => assert_eq!(error.code, ErrorCode::NotPrepared),
+                other => panic!("{needle}: a refused stage must stage nothing, got {other:?}"),
+            }
+        }
+        assert_eq!(shard.topology().generations(), vec![1]);
+        // The shard has no dataset, yet the valid model stages, commits
+        // and serves, and nothing was trained here.
+        let model = model_on(Grid::unit(8).unwrap());
+        let stage = Request::RebuildStage {
+            model: Box::new(model.clone()),
+        };
+        let Response::Prepared { prepared } = shard.dispatch(&stage) else {
+            panic!("expected prepared");
+        };
+        assert_eq!(prepared.build_time, Duration::ZERO, "nothing was trained");
+        let Response::Committed { generation } = shard.dispatch(&Request::RebuildCommit) else {
+            panic!("expected committed");
+        };
+        assert_eq!(generation, 2);
+        let reference =
+            FrozenIndex::from_partition(&model.partition, &model.grid, &model.snapshot).unwrap();
+        for p in [(0.6, 0.1), (0.9, 0.9), (0.75, 0.5)] {
+            let expected: DecisionBody = reference.lookup(&Point::new(p.0, p.1)).unwrap().into();
+            match shard.dispatch(&Request::Lookup { x: p.0, y: p.1 }) {
+                Response::Decision { decision } => assert_eq!(decision, expected, "{p:?}"),
+                other => panic!("expected decision, got {other:?}"),
+            }
         }
     }
 
@@ -2099,8 +2206,8 @@ mod tests {
                 other => panic!("expected ingested, got {other:?}"),
             }
         }
-        // A manual rebuild ships the merged delta through the two-phase
-        // barrier; the stub remotes merge the same log and commit.
+        // A manual rebuild trains on the seed and the log, and the stub
+        // remotes stage and commit the trained model.
         let Response::Rebuilt { report } = svc.dispatch(&Request::Rebuild {
             spec: ingest_spec(),
         }) else {
@@ -2123,7 +2230,7 @@ mod tests {
 
     impl ShardBackend for Gated {
         fn dispatch(&self, request: &Request) -> Response {
-            if matches!(request, Request::RebuildPrepare { .. }) {
+            if matches!(request, Request::RebuildStage { .. }) {
                 let gate = self.gate.lock().unwrap().take();
                 if let Some((entered, release)) = gate {
                     entered.send(()).unwrap();
@@ -2154,8 +2261,7 @@ mod tests {
             shards: vec![BackendSpec::Local, BackendSpec::Http("shard:1".into())],
         };
         let topology = Topology::from_spec(&spec, index(), |addr: &str| {
-            let inner = QueryService::new(Topology::partial(&index(), 1, 2, 1).unwrap())
-                .with_rebuild(Arc::clone(&dataset));
+            let inner = QueryService::new(Topology::partial(&index(), 1, 2, 1).unwrap());
             Ok(Box::new(Gated {
                 inner: StubRemote {
                     addr: addr.to_string(),
@@ -2212,31 +2318,22 @@ mod tests {
         }
     }
 
-    /// Every `delta` a [`FailsFirstPrepare`] slot forwarded, in order.
-    type Deltas = Arc<Mutex<Vec<Vec<IngestBody>>>>;
-
-    /// A [`StubRemote`] whose first prepare announces itself, blocks
-    /// until released and then fails; later prepares record the `delta`
-    /// they carry and forward.
+    /// A [`StubRemote`] whose first stage announces itself, blocks
+    /// until released and then fails; later stages forward.
     struct FailsFirstPrepare {
         inner: StubRemote,
         gate: Mutex<Option<Gate>>,
-        deltas: Deltas,
     }
 
     impl ShardBackend for FailsFirstPrepare {
         fn dispatch(&self, request: &Request) -> Response {
-            if let Request::RebuildPrepare { delta, .. } = request {
+            if matches!(request, Request::RebuildStage { .. }) {
                 let gate = self.gate.lock().unwrap().take();
                 if let Some((entered, release)) = gate {
                     entered.send(()).unwrap();
                     release.recv().unwrap();
                     return Response::error(ErrorCode::Internal, "injected prepare failure");
                 }
-                self.deltas
-                    .lock()
-                    .unwrap()
-                    .push(delta.clone().unwrap_or_default());
             }
             self.inner.dispatch(request)
         }
@@ -2278,29 +2375,25 @@ mod tests {
     /// An ingesting 1×2 coordinator whose slot 1 is a
     /// [`FailsFirstPrepare`]: ingest A (3 points), start a rebuild on a
     /// clone, ingest B (3 points) while it blocks in slot 1's prepare,
-    /// then release it to fail. Returns the service, the deltas slot 1
-    /// records from then on, and A ++ B.
-    fn failed_pass_with_a_racing_ingest() -> (QueryService, Deltas, Vec<IngestBody>) {
+    /// then release it to fail. Returns the service and A ++ B.
+    fn failed_pass_with_a_racing_ingest() -> (QueryService, Vec<IngestBody>) {
         let dataset = dataset();
         let (entered_tx, entered) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
         let gate = Mutex::new(Some((entered_tx, release_rx)));
-        let deltas = Deltas::default();
         let spec = TopologySpec {
             rows: 1,
             cols: 2,
             shards: vec![BackendSpec::Local, BackendSpec::Http("shard:1".into())],
         };
         let topology = Topology::from_spec(&spec, index(), |addr: &str| {
-            let inner = QueryService::new(Topology::partial(&index(), 1, 2, 1).unwrap())
-                .with_rebuild(Arc::clone(&dataset));
+            let inner = QueryService::new(Topology::partial(&index(), 1, 2, 1).unwrap());
             Ok(Box::new(FailsFirstPrepare {
                 inner: StubRemote {
                     addr: addr.to_string(),
                     inner: Mutex::new(inner),
                 },
                 gate: Mutex::new(gate.lock().unwrap().take()),
-                deltas: Arc::clone(&deltas),
             }) as Box<dyn ShardBackend>)
         })
         .unwrap();
@@ -2327,19 +2420,20 @@ mod tests {
             first.join().unwrap()
         });
         assert!(matches!(failed, Response::Error { .. }), "{failed:?}");
-        (svc, deltas, [a, b].concat())
+        (svc, [a, b].concat())
     }
 
     #[test]
     fn a_failed_pass_keeps_its_points_in_accept_order() {
-        let (mut svc, deltas, points) = failed_pass_with_a_racing_ingest();
+        let (mut svc, points) = failed_pass_with_a_racing_ingest();
         let Response::Rebuilt { report } = svc.dispatch(&Request::Rebuild {
             spec: ingest_spec(),
         }) else {
             panic!("expected rebuilt");
         };
         assert_eq!(report.generation, 2);
-        assert_eq!(*deltas.lock().unwrap(), vec![points.clone()], "A then B");
+        // Both slots, the stub remote included, serve the retrain on
+        // A then B.
         let merged = merge_dataset(&dataset(), &ingest_spec().task, &records(&points)).unwrap();
         let (reference, _) = build_index(&merged, &ingest_spec()).unwrap();
         for i in 0..64 {
@@ -2360,7 +2454,7 @@ mod tests {
 
     #[test]
     fn a_failed_pass_neither_drops_nor_double_counts_points() {
-        let (mut svc, _, _) = failed_pass_with_a_racing_ingest();
+        let (mut svc, _) = failed_pass_with_a_racing_ingest();
         let ingest = svc
             .metrics_snapshot()
             .ingest

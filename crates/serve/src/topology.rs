@@ -76,8 +76,9 @@ pub trait ShardBackend: Send + Sync {
     /// Phase one of the two-phase rebuild barrier: make `index` (the
     /// coordinator's freshly trained global index) the staged, not yet
     /// served, state of this slot. The default forwards `request` (the
-    /// coordinator's [`Request::RebuildPrepare`]) so a remote shard
-    /// retrains on its own copy of the data; in-process backends stage
+    /// coordinator's [`Request::RebuildStage`], carrying the model
+    /// `index` was compiled from) so a remote shard compiles and stages
+    /// the same index without training; in-process backends stage
     /// `index` directly instead. A success answers
     /// [`Response::Prepared`]; the commit and abort that follow are plain
     /// [`ShardBackend::dispatch`] calls.
@@ -278,6 +279,7 @@ impl LocalShard {
             },
             Request::Rebuild { .. }
             | Request::RebuildPrepare { .. }
+            | Request::RebuildStage { .. }
             | Request::RebuildCommit
             | Request::RebuildAbort
             | Request::Ingest { .. }

@@ -1,8 +1,10 @@
 //! Distributed serving end to end: two real HTTP shard servers, each
 //! holding a **partial index** (only its half of the map), behind one
-//! scatter-gather coordinator — then a two-phase rebuild that retrains
-//! every shard and swaps all of them in lockstep, and a second one over
-//! replica slots that pair an in-process member with each shard server.
+//! scatter-gather coordinator — then a two-phase rebuild that trains once
+//! on the coordinator, stages the model on every shard and swaps all of
+//! them in lockstep, and a second one over replica slots that pair an
+//! in-process member with each shard server. The shard servers hold no
+//! dataset: they only ever stage what the coordinator trained.
 //!
 //! ```sh
 //! cargo run --release -p fsi --example dist_serving
@@ -114,9 +116,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // A rebuild through the coordinator runs the two-phase barrier:
-    // both shards retrain and stage, then both commit — no client ever
-    // sees a half-swapped fleet.
+    // A rebuild through the coordinator runs the two-phase barrier: the
+    // coordinator trains, both shards stage the shipped model, then both
+    // commit — no client ever sees a half-swapped fleet.
     let new_spec = fsi::PipelineSpec::new(TaskSpec::act(), Method::MedianKd, 4);
     match client.call(&Request::Rebuild { spec: new_spec })? {
         Response::Rebuilt { report } => println!(
@@ -132,8 +134,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Replica slots: each half is served by an in-process partial index
     // *and* the running shard server for that half. The barrier stages
-    // the coordinator's index on the local member and has the shard
-    // server retrain, on both slots, before any member commits.
+    // the coordinator's index on the local member and ships the model to
+    // the shard server, on both slots, before any member commits.
     let replicated = TopologySpec {
         rows: 1,
         cols: 2,

@@ -249,8 +249,8 @@ fn serve(dataset: &SpatialDataset, config: ServeConfig) -> Result<(), Box<dyn st
     let maintenance = if config.auto_rebuild {
         if config.shard_of.is_some() {
             return Err(
-                "--auto-rebuild runs on the coordinator; shard servers merge \
-                 coordinator-shipped deltas without their own ingestion state"
+                "--auto-rebuild runs on the coordinator; shard servers stage the \
+                 model the coordinator trains, with no ingestion state of their own"
                     .into(),
             );
         }

@@ -361,8 +361,8 @@ fn two_phase_rebuild_over_http_shards_is_torn_free_under_concurrent_clients() {
         }
 
         // Drive the rebuilds through the coordinator's own transport:
-        // each one retrains, then prepares BOTH remote shards before
-        // committing either.
+        // each one trains, then stages the model on BOTH remote shards
+        // before committing either.
         let mut driver = fsi::HttpClient::connect(addr).expect("driver connects");
         for (i, spec) in specs.iter().enumerate().skip(1) {
             match driver
@@ -483,9 +483,9 @@ fn streamed_wave(grid: &Grid, n: u32) -> Vec<IngestBody> {
 /// maintenance pass, every decision — local or routed across the wire —
 /// is **bit-identical** to a from-scratch retrain on seed ∪ streamed
 /// points, and every slot ends on the same generation. The coordinator
-/// ships its full ordered ingest log as the two-phase prepare's delta, so
-/// the HTTP shard servers (which never saw an `Ingest` request) merge
-/// exactly the same dataset. Runs over three slot shapes: local and HTTP
+/// alone merges its ingest log and retrains; the HTTP shard servers
+/// (which never saw an `Ingest` request and hold no dataset) stage the
+/// model it ships. Runs over three slot shapes: local and HTTP
 /// slots, all-local replica slots, and one replica slot pairing a local
 /// member with an HTTP shard server.
 #[test]
@@ -1039,9 +1039,10 @@ fn stats_and_metrics_degrade_gracefully_when_a_shard_dies() {
 
 /// Ingestion stays on the coordinator. Points streamed into the half a
 /// real HTTP shard serves never reach that shard: its own scrape shows
-/// no ingest requests and no errors. And an ingesting service, which
-/// owns its log, refuses a `RebuildPrepare` that ships a delta, stages
-/// nothing and keeps serving its generation.
+/// no ingest requests and no errors. And the shard refuses a
+/// `RebuildPrepare` that ships an ingest log in its retired `delta`
+/// (what coordinators sent before `RebuildStage`) at decode time,
+/// stages nothing and keeps serving its generation.
 #[test]
 fn ingestion_stays_on_the_coordinator() {
     let d = dataset();
@@ -1115,16 +1116,21 @@ fn ingestion_stays_on_the_coordinator() {
     assert_eq!(remote.count_for("ingest_batch"), 0, "{remote:?}");
     assert!(remote.errors.is_empty(), "{:?}", remote.errors);
 
-    let prepare = Request::RebuildPrepare {
+    let prepare = fsi::encode_request(&Request::RebuildPrepare {
         spec: serving.spec().clone(),
-        delta: Some(vec![east(0)]),
-    };
-    match coordinator.dispatch(&prepare) {
-        Response::Error { error } => {
-            assert_eq!(error.code, fsi::ErrorCode::RebuildUnavailable, "{error:?}")
-        }
-        other => panic!("expected a refusal, got {other:?}"),
-    }
+        delta: None,
+    });
+    let old = prepare.replace(
+        r#""delta":null"#,
+        &format!(r#""delta":[{}]"#, serde_json::to_string(&east(0)).unwrap()),
+    );
+    assert_ne!(old, prepare, "expected a delta field to fill");
+    let (status, body) = fsi::HttpClient::connect(shard.addr())
+        .unwrap()
+        .post(&old)
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("`delta` field is retired"), "{body}");
     match coordinator.dispatch(&Request::RebuildCommit) {
         Response::Error { error } => assert_eq!(error.code, fsi::ErrorCode::NotPrepared),
         other => panic!("a refused prepare must stage nothing, got {other:?}"),
@@ -1276,4 +1282,246 @@ fn replica_slot_topology_fans_out_inline_and_answers_bit_identically() {
         }
         other => panic!("expected health, got {other:?}"),
     }
+}
+
+/// A FairKd h5 deployment of `d`.
+fn serve_fair(d: &SpatialDataset) -> fsi::Serving<'_> {
+    Pipeline::on(d)
+        .task(TaskSpec::act())
+        .method(Method::FairKd)
+        .height(5)
+        .run()
+        .unwrap()
+        .serve()
+        .unwrap()
+}
+
+/// A shard holds no training data: a remote shard server started from a
+/// *different* seed dataset on the same grid stages and commits the
+/// index the coordinator trained, bit for bit, because a republish ships
+/// the trained model and the shard trains nothing.
+#[test]
+fn a_shard_from_another_dataset_commits_the_coordinators_index() {
+    let d = dataset();
+    let other = CityGenerator::new(CityConfig {
+        n_individuals: 300,
+        grid_side: 16,
+        seed: 24,
+        ..CityConfig::default()
+    })
+    .unwrap()
+    .generate()
+    .unwrap();
+    assert_eq!(other.grid(), d.grid(), "same grid, different people");
+    let (serving, foreign) = (serve_fair(&d), serve_fair(&other));
+    let halves = TopologySpec::local(1, 2);
+    let shard =
+        fsi::HttpServer::bind(foreign.service_shard(&halves, 1).unwrap(), "127.0.0.1:0").unwrap();
+    let spec = TopologySpec {
+        rows: 1,
+        cols: 2,
+        shards: vec![
+            BackendSpec::Local,
+            BackendSpec::Http(shard.addr().to_string()),
+        ],
+    };
+    let mut coordinator = serving.service_over(&spec).unwrap();
+    let new_spec = fsi::PipelineSpec::new(TaskSpec::act(), Method::MedianKd, 4);
+    match coordinator.dispatch(&Request::Rebuild {
+        spec: new_spec.clone(),
+    }) {
+        Response::Rebuilt { report } => assert_eq!(report.generation, 2),
+        other => panic!("expected rebuilt, got {other:?}"),
+    }
+    let (reference, _run) = fsi_serve::build_index(&d, &new_spec).unwrap();
+    let mut client = fsi::HttpClient::connect(shard.addr()).unwrap();
+    let mut checked = 0;
+    for p in query_points(d.grid(), 300, 29) {
+        if coordinator.topology().shard_of(&p) != Some(1) {
+            continue;
+        }
+        let want: DecisionBody = reference.lookup(&p).unwrap().into();
+        for got in [
+            coordinator.dispatch(&Request::Lookup { x: p.x, y: p.y }),
+            client.call(&Request::Lookup { x: p.x, y: p.y }).unwrap(),
+        ] {
+            let got = expect_decision(got);
+            assert_eq!(got.leaf_id, want.leaf_id, "{p:?}");
+            assert_eq!(got.group, want.group, "{p:?}");
+            assert_eq!(got.raw_score.to_bits(), want.raw_score.to_bits(), "{p:?}");
+            assert_eq!(
+                got.calibrated_score.to_bits(),
+                want.calibrated_score.to_bits(),
+                "{p:?}"
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked > 100,
+        "only {checked} answers from the shard's half"
+    );
+    shard.shutdown();
+}
+
+/// Records the encoded length of every phase-one barrier request a real
+/// HTTP shard is sent — what a republish costs on the wire per shard.
+struct PhaseOneBytes {
+    inner: fsi::RemoteShard,
+    sent: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
+}
+
+impl fsi::ShardBackend for PhaseOneBytes {
+    fn dispatch(&self, request: &Request) -> Response {
+        let phase_one = !matches!(
+            request,
+            Request::Lookup { .. }
+                | Request::LookupBatch { .. }
+                | Request::RangeQuery { .. }
+                | Request::Stats
+                | Request::Metrics
+                | Request::Health
+                | Request::RebuildCommit
+                | Request::RebuildAbort
+        );
+        if phase_one {
+            let bytes = fsi::encode_request(request).len();
+            self.sent.lock().unwrap().push(bytes);
+        }
+        self.inner.dispatch(request)
+    }
+
+    fn descriptor(&self) -> fsi::ShardDescriptor {
+        self.inner.descriptor()
+    }
+
+    fn generation(&self) -> u64 {
+        self.inner.generation()
+    }
+
+    fn transport_stats(&self) -> Option<fsi::TransportStats> {
+        self.inner.transport_stats()
+    }
+}
+
+/// An ingesting 1×2 coordinator trained on `d`: slot 0 local, slot 1 a
+/// real HTTP shard server (built without a dataset) behind a
+/// [`PhaseOneBytes`] recorder. Returns the coordinator, the shard
+/// server and the recorded lengths.
+fn ingesting_coordinator_over_an_http_shard(
+    d: &SpatialDataset,
+) -> (
+    fsi::QueryService,
+    fsi::HttpServer,
+    std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
+) {
+    let serving = serve_fair(d);
+    let halves = TopologySpec::local(1, 2);
+    let shard =
+        fsi::HttpServer::bind(serving.service_shard(&halves, 1).unwrap(), "127.0.0.1:0").unwrap();
+    let spec = TopologySpec {
+        rows: 1,
+        cols: 2,
+        shards: vec![
+            BackendSpec::Local,
+            BackendSpec::Http(shard.addr().to_string()),
+        ],
+    };
+    let sent = std::sync::Arc::default();
+    let index = serving.handle().load().as_ref().clone();
+    let topology = fsi::Topology::from_spec(&spec, index, |addr: &str| {
+        Ok(Box::new(PhaseOneBytes {
+            inner: fsi::RemoteShard::connect(addr)?,
+            sent: std::sync::Arc::clone(&sent),
+        }) as Box<dyn fsi::ShardBackend>)
+    })
+    .unwrap();
+    let coordinator = fsi::QueryService::new(topology)
+        .with_rebuild(std::sync::Arc::new(d.clone()))
+        .with_ingest(TaskSpec::act())
+        .unwrap();
+    (coordinator, shard, sent)
+}
+
+/// `n` uniform points over `grid` at full float precision (~72 B each
+/// as JSON), with alternating cohorts and seeded labels.
+fn uniform_ingest(grid: &Grid, n: usize, seed: u64) -> Vec<IngestBody> {
+    let b = *grid.bounds();
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            IngestBody::new(
+                b.min_x + rng.random::<f64>() * b.width(),
+                b.min_y + rng.random::<f64>() * b.height(),
+                (i % 2) as u32,
+                rng.random::<f64>() < 0.4,
+            )
+        })
+        .collect()
+}
+
+/// Runs one `Rebuild` through `coordinator` and answers its generation.
+fn republish(coordinator: &mut fsi::QueryService) -> u64 {
+    let spec = fsi::PipelineSpec::new(TaskSpec::act(), Method::FairKd, 5);
+    match coordinator.dispatch(&Request::Rebuild { spec }) {
+        Response::Rebuilt { report } => report.generation,
+        other => panic!("expected rebuilt, got {other:?}"),
+    }
+}
+
+/// What a republish sends a remote shard does not grow with the ingest
+/// log: the stage request at a 10k-point log is as long as the one at an
+/// empty log, up to the digits of the trained scores and region ids.
+#[test]
+fn stage_requests_do_not_grow_with_the_ingest_log() {
+    let d = dataset();
+    let (mut coordinator, shard, sent) = ingesting_coordinator_over_an_http_shard(&d);
+    assert_eq!(republish(&mut coordinator), 2);
+    match coordinator.dispatch(&Request::IngestBatch {
+        points: uniform_ingest(d.grid(), 10_000, 31),
+    }) {
+        Response::Ingested { buffered, .. } => assert_eq!(buffered, 10_000),
+        other => panic!("expected ingested, got {other:?}"),
+    }
+    assert_eq!(republish(&mut coordinator), 3);
+    let sent = sent.lock().unwrap().clone();
+    let [empty, full] = sent[..] else {
+        panic!("expected one phase-one request per republish, got {sent:?}");
+    };
+    // One score and one offset per leaf (at most 2^5) and one region id
+    // per cell may each print a few digits longer or shorter.
+    let slack = 2 * 32 * 24 + d.grid().len() * 2;
+    assert!(
+        empty.abs_diff(full) <= slack,
+        "stage bytes at logs 0 and 10k: {empty} vs {full}"
+    );
+    assert_eq!(coordinator.topology().generations(), vec![3, 3]);
+    shard.shutdown();
+}
+
+/// The republish that used to fail: past ~233k points the shipped log
+/// alone exceeded the shard server's 16 MiB body limit, so the prepare
+/// died on a connection reset and the fleet could never republish
+/// again. Release only (`cargo test --release -- --ignored`): it merges
+/// and trains on 240k rows.
+#[test]
+#[ignore]
+fn a_republish_at_a_240k_point_log_over_an_http_shard_answers_rebuilt() {
+    let d = dataset();
+    let (mut coordinator, shard, sent) = ingesting_coordinator_over_an_http_shard(&d);
+    for (chunk, seed) in (0..24).zip(100u64..) {
+        let points = uniform_ingest(d.grid(), 10_000, seed);
+        match coordinator.dispatch(&Request::IngestBatch { points }) {
+            Response::Ingested { buffered, .. } => assert_eq!(buffered, (chunk + 1) * 10_000),
+            other => panic!("expected ingested, got {other:?}"),
+        }
+    }
+    assert_eq!(republish(&mut coordinator), 2);
+    assert_eq!(coordinator.topology().generations(), vec![2, 2]);
+    assert!(
+        sent.lock().unwrap()[0] < 1 << 20,
+        "{:?}",
+        sent.lock().unwrap()
+    );
+    shard.shutdown();
 }
