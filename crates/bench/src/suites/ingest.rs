@@ -1,21 +1,19 @@
 //! The streaming-ingestion suite: what a live feed costs.
 //!
-//! `QueryService::with_ingest` adds the coordinator's accept-ordered
-//! ingest log and a drift detector next to the frozen snapshot. This suite pins the three numbers that decide whether the
-//! layer is deployable:
+//! `QueryService::with_ingest` adds the coordinator's per-cell ingest
+//! counts and a drift detector next to the frozen snapshot. This suite
+//! pins the three numbers that decide whether the layer is deployable:
 //!
 //! * `dispatch_ingest_x{N}` — end-to-end `Request::Ingest` throughput:
-//!   locate + one locked log append (with its cell's count and label
-//!   sums) per point. Runs under a deliberately small time budget
-//!   (overridden below) because every accepted point stays in the log
-//!   for good — the budget bounds the bench's memory, not its precision.
+//!   locate + one locked bump of its cell's count and label sums per
+//!   point.
 //! * `drift_poll_x{N}` — one background maintenance poll over `N`
 //!   buffered points with no trigger armed: the steady-state cost of
 //!   measuring subtree drift against the frozen `CellStats` baseline
 //!   (one summed-area fold plus a KD-shaped walk) on every poll tick.
 //! * `dispatch_lookup_live_x{N}` / `dispatch_lookup_frozen_x{N}` — the
 //!   ingest-while-serving twins: the same point sweep through a service
-//!   with a non-empty ingest log and through a plain frozen service.
+//!   with pending ingested points and through a plain frozen service.
 //!
 //! Before registering the criterion benches, the suite runs its own
 //! interleaved-median comparison of the two lookup twins and asserts
@@ -32,7 +30,7 @@ use fsi::{
 use fsi_geo::{Point, Rect};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A maintenance policy that measures drift on every poll but never
 /// trips: occupancy and staleness triggers disabled, the drift bar
@@ -164,20 +162,11 @@ pub fn register(c: &mut Criterion, p: &Profile) {
         p.n_individuals, p.method_height
     ));
 
-    // Ingest throughput under a small fixed budget: each accepted point
-    // stays in the ingest log for good, so the budget (not the
-    // profile's) bounds how much the bench buffers.
-    group
-        .warm_up_time(Duration::from_millis(30))
-        .measurement_time(Duration::from_millis(200));
     let mut sink = live_serving.service();
     let batch = feed(&bounds, n, 99);
     group.bench_function(format!("dispatch_ingest_x{n}"), |b| {
         b.iter(|| black_box(stream(&mut sink, &batch)))
     });
-    group
-        .warm_up_time(p.warm_up)
-        .measurement_time(p.measurement_time);
 
     // The poll-tick cost: a maintenance pass that measures drift over a
     // buffered backlog of `n` points and finds no trigger due.

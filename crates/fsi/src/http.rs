@@ -639,7 +639,12 @@ impl HttpClient {
     /// [`Response::Error`] is returned as a normal response for the
     /// caller to match on.
     pub fn call(&mut self, request: &Request) -> Result<Response, FsiError> {
-        let (status, body) = self.post(&fsi_proto::encode_request(request))?;
+        self.call_encoded(&fsi_proto::encode_request(request))
+    }
+
+    /// [`HttpClient::call`] with the request already encoded.
+    fn call_encoded(&mut self, request: &str) -> Result<Response, FsiError> {
+        let (status, body) = self.post(request)?;
         if !(200..300).contains(&status) {
             return Err(FsiError::Http { status, body });
         }
@@ -654,15 +659,7 @@ impl HttpClient {
     /// reading it, so the caller would only see the connection reset
     /// under its unfinished write.
     pub fn post(&mut self, body: &str) -> Result<(u16, String), FsiError> {
-        if body.len() > MAX_BODY_BYTES {
-            return Err(FsiError::Io(std::io::Error::new(
-                ErrorKind::InvalidInput,
-                format!(
-                    "request body of {} bytes exceeds the server's {MAX_BODY_BYTES}-byte limit",
-                    body.len()
-                ),
-            )));
-        }
+        refuse_oversized(body)?;
         write!(
             self.writer,
             "POST /query HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
@@ -773,6 +770,21 @@ pub fn scrape_metrics(addr: impl ToSocketAddrs) -> Result<String, FsiError> {
     Ok(body)
 }
 
+/// Refuses a request body over the server's 16 MiB limit: the server
+/// would answer 413 and close without reading it.
+fn refuse_oversized(body: &str) -> Result<(), FsiError> {
+    if body.len() <= MAX_BODY_BYTES {
+        return Ok(());
+    }
+    Err(FsiError::Io(std::io::Error::new(
+        ErrorKind::InvalidInput,
+        format!(
+            "request body of {} bytes exceeds the server's {MAX_BODY_BYTES}-byte limit",
+            body.len()
+        ),
+    )))
+}
+
 /// A [`ShardBackend`] over a remote shard server: one keep-alive
 /// [`HttpClient`] speaking the typed protocol, shared by every
 /// coordinator worker behind a mutex (one in-flight request per remote
@@ -827,14 +839,17 @@ impl RemoteShard {
     }
 
     /// One round-trip, redialing up to `reconnect_attempts` times on a
-    /// transport failure.
+    /// transport failure. A request too large to send is refused before
+    /// the connection is touched, so it neither drops nor redials it.
     fn call(&self, request: &Request) -> Result<Response, FsiError> {
+        let request = fsi_proto::encode_request(request);
+        refuse_oversized(&request)?;
         let mut slot = self.client.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(mut client) = slot.take() {
             // A failed call means the connection is dead (server
             // restarted, idle keep-alive reaped, …): drop it and
             // redial below.
-            if let Ok(response) = client.call(request) {
+            if let Ok(response) = client.call_encoded(&request) {
                 *slot = Some(client);
                 return Ok(response);
             }
@@ -842,7 +857,7 @@ impl RemoteShard {
         let mut last: Option<FsiError> = None;
         for _ in 0..self.reconnect_attempts.max(1) {
             match self.redial() {
-                Ok(mut client) => match client.call(request) {
+                Ok(mut client) => match client.call_encoded(&request) {
                     Ok(response) => {
                         *slot = Some(client);
                         return Ok(response);
@@ -1290,6 +1305,31 @@ mod tests {
         let stats = shard.transport_stats().unwrap();
         assert_eq!(stats.failures, 1, "{stats:?}");
         assert!(stats.reconnects >= 1, "{stats:?}");
+    }
+
+    #[test]
+    fn remote_shard_keeps_its_connection_when_refusing_an_oversized_request() {
+        let server = HttpServer::bind(service(), "127.0.0.1:0").unwrap();
+        let shard = RemoteShard::connect(&server.addr().to_string()).unwrap();
+        let points = vec![WirePoint::new(0.1, 0.1); MAX_BODY_BYTES / 16];
+        match shard.dispatch(&Request::LookupBatch { points }) {
+            Response::Error { error } => {
+                assert!(error.message.contains("exceeds"), "{}", error.message)
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(shard.transport_stats().unwrap().reconnects, 0);
+        // The next request rides the same keep-alive connection.
+        assert!(matches!(
+            shard.dispatch(&Request::Stats),
+            Response::Stats { .. }
+        ));
+        let Response::Metrics { metrics } = shard.dispatch(&Request::Metrics) else {
+            panic!("expected metrics");
+        };
+        assert_eq!(metrics.http.expect("transport block").connections, 1);
+        assert_eq!(shard.transport_stats().unwrap().reconnects, 0);
+        server.shutdown();
     }
 
     /// A one-connection peer that reads the client's request, answers

@@ -1,62 +1,60 @@
-//! The coordinator's ingest log behind `Request::Ingest`.
+//! The coordinator's ingest state behind `Request::Ingest`.
 //!
-//! Accepted points are appended, under one mutex, to a single
-//! accept-ordered log in which a record's position is its sequence
-//! number. A merged mark splits the log into the prefix the published
-//! generation was trained on and the records still pending past it.
-//! Dense per-cell count and label sums of the pending records are
-//! kept at accept time, so the drift detector's input is a plain copy.
+//! An ingested point reaches training only through its base-grid cell
+//! and its label, so the state is two sets of row-major per-cell
+//! `(count, positive)` sums under one mutex: those of every accepted
+//! point, and those of the pending points, accepted since the last
+//! merge. The merged sums, which the published generation was trained
+//! on, are the difference. A maintenance pass snapshots both, trains
+//! on the first and, after its commit, moves exactly its pending
+//! snapshot into merged; points accepted during the pass stay pending.
+//! Counts commute, so the state, and every index trained on it, is the
+//! same whatever order the points arrived in.
 //! Pending occupancy and the rejected tally are atomics, so an ingest
 //! acknowledgement and the policy's occupancy check never take the
 //! lock.
 
-use crate::record::IngestRecord;
 use fsi_geo::{Grid, Point};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-struct Log {
-    /// Every accepted record, in accept order: `records[i].seq == i`.
-    records: Vec<IngestRecord>,
-    /// Records before this position are merged into the published
-    /// generation; the rest are pending.
-    merged: usize,
-    /// Row-major per-cell count of the pending records.
-    counts: Vec<f64>,
-    /// Row-major per-cell positive-label count of the pending records.
-    labels: Vec<f64>,
+struct Counts {
+    /// Points accepted since the buffer was created, merged or not.
+    accepted: u64,
+    /// Per-cell `(count, positive)` sums of every accepted point.
+    all: (Vec<f64>, Vec<f64>),
+    /// Per-cell `(count, positive)` sums of the pending points.
+    pending: (Vec<f64>, Vec<f64>),
 }
 
-/// The accept-ordered log of ingested points, with a merged mark and
-/// live per-cell deltas of the records past it.
+/// Per-cell counts of the ingested points, merged and pending.
 pub struct DeltaBuffer {
     grid: Grid,
-    log: Mutex<Log>,
-    /// Records past the merged mark; written only under the log lock.
+    counts: Mutex<Counts>,
+    /// Pending points; written only under the counts lock.
     pending: AtomicU64,
     rejected: AtomicU64,
     epoch: Instant,
     /// Nanos-since-epoch **plus one** of the oldest pending accept;
-    /// zero means nothing is pending. Records still pending after a
+    /// zero means nothing is pending. Points still pending after a
     /// merge are restamped then, so their age may be under-reported by
     /// up to one maintenance pass.
     oldest: AtomicU64,
 }
 
 impl DeltaBuffer {
-    /// An empty log over `grid` — the grid decides which points are in
-    /// bounds and which cell a point's deltas land in.
+    /// An empty buffer over `grid` — the grid decides which points are
+    /// in bounds and which cell a point's counts land in.
     pub fn new(grid: Grid) -> Self {
-        let cells = grid.len();
+        let zeros = || (vec![0.0; grid.len()], vec![0.0; grid.len()]);
         Self {
-            grid,
-            log: Mutex::new(Log {
-                records: Vec::new(),
-                merged: 0,
-                counts: vec![0.0; cells],
-                labels: vec![0.0; cells],
+            counts: Mutex::new(Counts {
+                accepted: 0,
+                all: zeros(),
+                pending: zeros(),
             }),
+            grid,
             pending: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             epoch: Instant::now(),
@@ -64,42 +62,39 @@ impl DeltaBuffer {
         }
     }
 
-    /// The grid the log validates and bins points against.
+    /// The grid the buffer validates and bins points against.
     pub fn grid(&self) -> &Grid {
         &self.grid
     }
 
-    fn lock(&self) -> MutexGuard<'_, Log> {
-        self.log.lock().expect("ingest log lock poisoned")
+    fn lock(&self) -> MutexGuard<'_, Counts> {
+        self.counts.lock().expect("ingest counts lock poisoned")
     }
 
     fn stamp(&self) -> u64 {
         self.epoch.elapsed().as_nanos().min(u64::MAX as u128 - 1) as u64 + 1
     }
 
-    /// Appends one observed point, returning its accept-order sequence
-    /// number (its position in the log), or `None` (and a bumped
-    /// rejected tally) when the point falls outside the grid.
-    pub fn accept(&self, x: f64, y: f64, group: u32, label: bool) -> Option<u64> {
+    /// Counts one observed point into its cell's sums as pending,
+    /// returning its running accept index, or `None` (and a bumped
+    /// rejected tally) when the point falls outside the grid. The
+    /// cohort tag is not kept: neither the merge nor drift reads it.
+    pub fn accept(&self, x: f64, y: f64, _group: u32, label: bool) -> Option<u64> {
         let Ok(cell) = self.grid.locate(&Point { x, y }) else {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return None;
         };
-        let mut log = self.lock();
-        let seq = log.records.len() as u64;
-        log.records.push(IngestRecord {
-            seq,
-            x,
-            y,
-            group,
-            label,
-        });
-        log.counts[cell] += 1.0;
-        log.labels[cell] += f64::from(u8::from(label));
+        let counts = &mut *self.lock();
+        let index = counts.accepted;
+        counts.accepted += 1;
+        for sums in [&mut counts.all, &mut counts.pending] {
+            sums.0[cell] += 1.0;
+            sums.1[cell] += f64::from(u8::from(label));
+        }
         if self.pending.fetch_add(1, Ordering::AcqRel) == 0 {
             self.oldest.store(self.stamp(), Ordering::Release);
         }
-        Some(seq)
+        Some(index)
     }
 
     /// Points accepted but not yet merged.
@@ -112,9 +107,9 @@ impl DeltaBuffer {
         self.occupancy() == 0
     }
 
-    /// Points accepted since the log was created, merged or not.
+    /// Points accepted since the buffer was created, merged or not.
     pub fn accepted(&self) -> u64 {
-        self.lock().records.len() as u64
+        self.lock().accepted
     }
 
     /// Points rejected for falling outside the grid.
@@ -135,47 +130,36 @@ impl DeltaBuffer {
         )
     }
 
-    /// Row-major per-cell `(count, label)` deltas of the pending
-    /// records — the drift detector's input, shaped for
+    /// Row-major per-cell `(count, positive)` sums of the pending
+    /// points — the drift detector's input, shaped for
     /// `CellStats::with_deltas`.
     pub fn cell_deltas(&self) -> (Vec<f64>, Vec<f64>) {
-        let log = self.lock();
-        (log.counts.clone(), log.labels.clone())
+        self.lock().pending.clone()
     }
 
-    /// A copy of the whole log, merged and pending, in accept order.
-    /// Its length is the prefix to hand [`DeltaBuffer::mark_merged`]
-    /// once a generation trained on it has published.
-    pub fn log(&self) -> Vec<IngestRecord> {
-        self.lock().records.clone()
+    /// What a maintenance pass trains on, taken under one lock: the
+    /// per-cell sums of every accepted point, merged or pending, and the
+    /// pending snapshot alone, to hand [`DeltaBuffer::mark_merged`] once
+    /// a generation trained on them has published.
+    pub fn pass_counts(&self) -> [(Vec<f64>, Vec<f64>); 2] {
+        let counts = self.lock();
+        [counts.all.clone(), counts.pending.clone()]
     }
 
-    /// Marks the first `len` records merged and returns the per-cell
-    /// `(count, label)` deltas of the ones that were pending until now —
-    /// what the published baseline advances by. Records past `len` stay
-    /// pending; a `len` at or before the mark changes nothing.
-    pub fn mark_merged(&self, len: usize) -> (Vec<f64>, Vec<f64>) {
-        let mut counts = vec![0.0; self.grid.len()];
-        let mut labels = vec![0.0; self.grid.len()];
-        let mut log = self.lock();
-        let log = &mut *log;
-        let end = len.min(log.records.len());
-        let start = log.merged.min(end);
-        for r in &log.records[start..end] {
-            if let Ok(cell) = self.grid.locate(&Point { x: r.x, y: r.y }) {
-                let label = f64::from(u8::from(r.label));
-                counts[cell] += 1.0;
-                labels[cell] += label;
-                log.counts[cell] -= 1.0;
-                log.labels[cell] -= label;
-            }
+    /// Moves `snapshot`, the pending part of [`DeltaBuffer::pass_counts`]
+    /// since the last call, from pending to merged. Points accepted
+    /// after the snapshot stay pending.
+    pub fn mark_merged(&self, snapshot: &(Vec<f64>, Vec<f64>)) {
+        let (n, p) = &mut self.lock().pending;
+        let moves = n.iter_mut().zip(&snapshot.0);
+        for (sum, moved) in moves.chain(p.iter_mut().zip(&snapshot.1)) {
+            *sum -= moved;
         }
-        log.merged = log.merged.max(end);
-        let left = self.pending.load(Ordering::Acquire) - (end - start) as u64;
+        let moved = snapshot.0.iter().sum::<f64>() as u64;
+        let left = self.pending.load(Ordering::Acquire) - moved;
         self.pending.store(left, Ordering::Release);
         let oldest = if left == 0 { 0 } else { self.stamp() };
         self.oldest.store(oldest, Ordering::Release);
-        (counts, labels)
     }
 }
 
@@ -223,63 +207,80 @@ mod tests {
     }
 
     #[test]
-    fn marking_a_prefix_merged_returns_its_deltas_and_keeps_the_rest() {
+    fn marking_a_snapshot_merged_keeps_racing_accepts_pending() {
         let b = buffer();
         for i in 0..20 {
             let t = i as f64 / 20.0;
             b.accept(t, 1.0 - t - 1e-9, i % 3, i % 2 == 0).unwrap();
         }
-        let log = b.log();
-        assert_eq!(log.len(), 20);
-        assert!(log.iter().enumerate().all(|(i, r)| r.seq == i as u64));
-        // Two accepts race the pass that trains on `log`.
+        let [total, snapshot] = b.pass_counts();
+        assert_eq!(total, snapshot, "nothing is merged yet");
+        assert_eq!(snapshot.0.iter().sum::<f64>(), 20.0);
+        assert_eq!(snapshot.1.iter().sum::<f64>(), 10.0);
+        // Two accepts race the pass that trains on `total`.
         assert_eq!(b.accept(0.6, 0.6, 0, true), Some(20));
         assert_eq!(b.accept(0.7, 0.2, 1, false), Some(21));
-        let (counts, labels) = b.mark_merged(log.len());
-        assert_eq!(counts.iter().sum::<f64>(), 20.0);
-        assert_eq!(labels.iter().sum::<f64>(), 10.0);
-        // The racing accepts stay pending, in place.
+        b.mark_merged(&snapshot);
+        // The racing accepts stay pending, and count once.
         assert_eq!(b.occupancy(), 2);
         assert!(b.oldest_age().is_some());
         let (counts, labels) = b.cell_deltas();
         assert_eq!(counts.iter().sum::<f64>(), 2.0);
         assert_eq!(labels.iter().sum::<f64>(), 1.0);
         assert_eq!(b.accepted(), 22);
-        // Re-marking the same prefix changes nothing.
-        assert!(b.mark_merged(20).0.iter().all(|&c| c == 0.0));
-        assert_eq!(b.occupancy(), 2);
-        b.mark_merged(22);
+        // The next pass trains on every point and moves only the two.
+        let [total, snapshot] = b.pass_counts();
+        assert_eq!(total.0.iter().sum::<f64>(), 22.0);
+        assert_eq!(total.1.iter().sum::<f64>(), 11.0);
+        assert_eq!(snapshot, (counts, labels));
+        b.mark_merged(&snapshot);
         assert_eq!(b.occupancy(), 0);
         assert_eq!(b.oldest_age(), None);
         assert!(b.cell_deltas().0.iter().all(|&c| c == 0.0));
-        // Sequence numbers keep climbing across merges.
+        assert_eq!(b.pass_counts()[0], total);
+        // Accept indices keep climbing across merges.
         assert_eq!(b.accept(0.5, 0.5, 0, true), Some(22));
     }
 
     #[test]
     fn concurrent_accepts_never_lose_points() {
-        let b = std::sync::Arc::new(buffer());
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let b = std::sync::Arc::clone(&b);
-                scope.spawn(move || {
-                    for i in 0..250 {
-                        let x = (t as f64 * 250.0 + i as f64) / 1000.0;
-                        b.accept(x, 0.5, t, i % 2 == 0).unwrap();
-                    }
-                });
+        let b = buffer();
+        let mut indices: Vec<u64> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4)
+                .map(|t| {
+                    let b = &b;
+                    scope.spawn(move || {
+                        (0..250)
+                            .map(|i| {
+                                let x = (t as f64 * 250.0 + i as f64) / 1000.0;
+                                b.accept(x, 0.5, t, i % 2 == 0).unwrap()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            // Passes race the writers.
+            for _ in 0..50 {
+                let [_, snapshot] = b.pass_counts();
+                b.mark_merged(&snapshot);
             }
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
         });
-        assert_eq!(b.occupancy(), 1000);
-        let log = b.log();
-        assert_eq!(log.len(), 1000);
+        indices.sort_unstable();
         assert!(
-            log.iter().enumerate().all(|(i, r)| r.seq == i as u64),
-            "positions must be unique and dense"
+            indices.iter().enumerate().all(|(i, &seq)| seq == i as u64),
+            "accept indices must be unique and dense"
         );
-        b.mark_merged(log.len());
+        let [total, snapshot] = b.pass_counts();
+        assert_eq!(total.0.iter().sum::<f64>(), 1000.0);
+        assert_eq!(total.1.iter().sum::<f64>(), 500.0);
+        assert_eq!(b.occupancy() as f64, snapshot.0.iter().sum::<f64>());
+        b.mark_merged(&snapshot);
         assert_eq!(b.occupancy(), 0);
-        let (counts, _) = b.cell_deltas();
-        assert!(counts.iter().all(|&c| c == 0.0));
+        assert!(b.cell_deltas().0.iter().all(|&c| c == 0.0));
+        assert_eq!(b.pass_counts()[0], total);
     }
 }

@@ -16,7 +16,9 @@ pub enum IngestError {
         /// Grid shape that was supplied.
         got: (usize, usize),
     },
-    /// The task's outcome column is missing from the seed dataset.
+    /// The seed dataset refused the merge: the task's outcome column is
+    /// missing, a record lies outside the grid, or the per-cell counts
+    /// do not match the grid.
     Data(fsi_data::DataError),
     /// The merged feature matrix could not be assembled.
     Ml(fsi_ml::MlError),

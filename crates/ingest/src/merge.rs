@@ -1,27 +1,34 @@
-//! Deterministic merge of buffered records into a training dataset.
+//! Deterministic merge of ingested points into a training dataset.
 //!
 //! The coordinator retrains on the merged dataset for every republish,
 //! and a retrain must be reproducible (a from-scratch rebuild on the
-//! same points serves the same bits) — so the merged dataset must be a
-//! pure function of `(seed, task, records)` with a fixed row order.
-//! [`merge_dataset`] appends one row per record in global accept
-//! (`seq`) order:
+//! same points serves the same bits), so the merged dataset is a pure
+//! function of `(seed, task, per-cell counts)`. An ingested point
+//! reaches training only through its base-grid cell and its label: the
+//! splits read per-cell sums and every location encoding reads the
+//! region. [`merge_counts`] therefore walks the cells in row-major
+//! order and appends, per cell, its positive rows and then its negative
+//! rows, each one:
 //!
-//! * **location** — the ingested coordinates (which drive every split
-//!   decision);
+//! * **location** — the cell's centroid;
 //! * **features** — the seed dataset's per-column means (the stream
 //!   carries no feature vector; the neutral row keeps the classifier's
 //!   feature distribution centered);
-//! * **task outcome** — the task threshold ± 1.0 by the observed label,
-//!   so `threshold_labels` recovers exactly the ingested labels;
+//! * **task outcome** — the task threshold ± 1.0 by the label, so
+//!   `threshold_labels` recovers exactly the ingested labels;
 //! * **other outcomes** — their seed column means.
+//!
+//! Counts commute, so every permutation of the same points merges into
+//! the same dataset. [`merge_dataset`] folds a record slice into those
+//! counts first.
 
 use crate::error::IngestError;
 use crate::record::IngestRecord;
-use fsi_data::SpatialDataset;
+use fsi_data::{DataError, SpatialDataset};
 use fsi_geo::Point;
 use fsi_ml::Matrix;
 use fsi_pipeline::TaskSpec;
+use std::iter::repeat_n;
 
 /// Offset applied to the task threshold so a merged row's outcome
 /// thresholds back to its ingested label.
@@ -35,66 +42,90 @@ fn column_mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Appends `records` to `seed` as new individuals, in ascending `seq`
-/// order. Returns a clone of the seed when `records` is empty. The
-/// result is bit-deterministic: merging the same records into the same
-/// seed, in any input order, builds identical datasets.
+/// Folds `records` into per-cell counts of the seed's grid and merges
+/// them ([`merge_counts`]); their order and `seq` do not matter. A
+/// record outside the grid is an error.
 pub fn merge_dataset(
     seed: &SpatialDataset,
     task: &TaskSpec,
     records: &[IngestRecord],
 ) -> Result<SpatialDataset, IngestError> {
-    if records.is_empty() {
+    let grid = seed.grid();
+    let mut cells = (vec![0.0; grid.len()], vec![0.0; grid.len()]);
+    for r in records {
+        let cell = grid.locate(&Point::new(r.x, r.y)).map_err(DataError::Geo)?;
+        cells.0[cell] += 1.0;
+        cells.1[cell] += f64::from(u8::from(r.label));
+    }
+    merge_counts(seed, task, &cells)
+}
+
+/// Appends to `seed`, per cell of its grid, `cells.0[cell]` rows of
+/// which the first `cells.1[cell]` are positive: row-major `(count,
+/// positive)` sums, the shape `CellStats::with_deltas` takes. Returns a
+/// clone of the seed when every count is zero.
+pub fn merge_counts(
+    seed: &SpatialDataset,
+    task: &TaskSpec,
+    cells: &(Vec<f64>, Vec<f64>),
+) -> Result<SpatialDataset, IngestError> {
+    let grid = seed.grid();
+    let (counts, positives) = cells;
+    if let Some(sums) = [counts, positives]
+        .into_iter()
+        .find(|s| s.len() != grid.len())
+    {
+        let (expected, got) = (grid.len(), sums.len());
+        let what = "per-cell sums".into();
+        return Err(DataError::LengthMismatch {
+            expected,
+            got,
+            what,
+        }
+        .into());
+    }
+    let mut locations: Vec<Point> = seed.locations().to_vec();
+    let mut labels: Vec<bool> = Vec::new();
+    for (cell, (&n, &p)) in counts.iter().zip(positives).enumerate() {
+        let at = grid.centroid(cell).map_err(DataError::Geo)?;
+        locations.extend(repeat_n(at, n as usize));
+        labels.extend((0..n as usize).map(|row| row < p as usize));
+    }
+    if labels.is_empty() {
         return Ok(seed.clone());
     }
-    let mut ordered: Vec<IngestRecord> = records.to_vec();
-    ordered.sort_unstable_by_key(|r| r.seq);
+    // Confirm the task outcome exists before building anything.
+    seed.outcome(&task.outcome)?;
 
     // Seed column means, computed once in column order.
     let features = seed.features();
     let feature_means: Vec<f64> = (0..features.cols())
         .map(|c| column_mean(&features.column(c)))
         .collect();
+    let rows: Vec<Vec<f64>> = features
+        .iter_rows()
+        .map(<[f64]>::to_vec)
+        .chain(repeat_n(feature_means, labels.len()))
+        .collect();
     let outcome_names: Vec<String> = seed.outcome_names().to_vec();
-    // Confirm the task outcome exists before building anything.
-    let task_col = outcome_names
+    let outcomes = outcome_names
         .iter()
-        .position(|n| n == &task.outcome)
-        .ok_or_else(|| IngestError::Data(seed.outcome(&task.outcome).unwrap_err()))?;
-    let outcome_means: Vec<f64> = outcome_names
-        .iter()
-        .map(|n| Ok(column_mean(seed.outcome(n)?)))
-        .collect::<Result<_, fsi_data::DataError>>()?;
-
-    let total = seed.len() + ordered.len();
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(total);
-    rows.extend(features.iter_rows().map(|r| r.to_vec()));
-    rows.extend(std::iter::repeat_n(feature_means, ordered.len()));
-
-    let mut outcomes: Vec<Vec<f64>> = outcome_names
-        .iter()
-        .map(|n| Ok(seed.outcome(n)?.to_vec()))
-        .collect::<Result<_, fsi_data::DataError>>()?;
-    for record in &ordered {
-        for (col, series) in outcomes.iter_mut().enumerate() {
-            let value = if col == task_col {
-                if record.label {
-                    task.threshold + LABEL_MARGIN
-                } else {
-                    task.threshold - LABEL_MARGIN
-                }
-            } else {
-                outcome_means[col]
-            };
-            series.push(value);
-        }
-    }
-
-    let mut locations: Vec<Point> = seed.locations().to_vec();
-    locations.extend(ordered.iter().map(|r| Point { x: r.x, y: r.y }));
+        .map(|name| {
+            let column = seed.outcome(name)?;
+            let mean = column_mean(column);
+            let appended = labels
+                .iter()
+                .map(|&label| match (name == &task.outcome, label) {
+                    (true, true) => task.threshold + LABEL_MARGIN,
+                    (true, false) => task.threshold - LABEL_MARGIN,
+                    (false, _) => mean,
+                });
+            Ok(column.iter().copied().chain(appended).collect())
+        })
+        .collect::<Result<Vec<Vec<f64>>, DataError>>()?;
 
     Ok(SpatialDataset::new(
-        seed.grid().clone(),
+        grid.clone(),
         seed.feature_names().to_vec(),
         Matrix::from_rows(&rows)?,
         outcome_names,
@@ -154,12 +185,31 @@ mod tests {
         let labels = merged
             .threshold_labels(&task.outcome, task.threshold)
             .unwrap();
-        for (i, r) in recs.iter().enumerate() {
-            assert_eq!(labels[s.len() + i], r.label, "record #{i}");
+        // Appended rows sit at their cells' centroids, cell by cell in
+        // row-major order, positives before negatives.
+        let grid = s.grid();
+        let mut expected: Vec<(usize, bool)> = recs
+            .iter()
+            .map(|r| (grid.locate(&Point { x: r.x, y: r.y }).unwrap(), r.label))
+            .collect();
+        expected.sort_by_key(|&(cell, label)| (cell, !label));
+        for (i, &(cell, label)) in expected.iter().enumerate() {
+            let row = s.len() + i;
+            assert_eq!(labels[row], label, "row #{row}");
+            assert_eq!(merged.cells()[row], cell, "row #{row}");
+            assert_eq!(merged.locations()[row], grid.centroid(cell).unwrap());
         }
-        // Appended locations are the ingested coordinates.
-        assert_eq!(merged.locations()[s.len()].x, recs[0].x);
-        assert_eq!(merged.locations()[s.len()].y, recs[0].y);
+    }
+
+    #[test]
+    fn a_record_outside_the_grid_is_an_error() {
+        let s = seed();
+        let mut recs = records();
+        recs[3].x = 7.5;
+        assert!(matches!(
+            merge_dataset(&s, &TaskSpec::act(), &recs),
+            Err(IngestError::Data(DataError::Geo(_)))
+        ));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 use fsi_proto::IngestBody;
 use serde::{Deserialize, Serialize};
 
-/// One accepted observation: the wire payload plus the global accept
-/// sequence number that fixes its position in every deterministic
-/// merge.
+/// One observation: the wire payload plus a sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IngestRecord {
-    /// Global accept order — merges replay records sorted by this, so
-    /// the same records always build the same dataset.
+    /// The caller's sequence number (e.g. a position in a batch). The
+    /// merge does not read it: records fold into per-cell counts, so
+    /// their order does not matter. Kept for [`IngestRecord::from_wire`]
+    /// callers.
     pub seq: u64,
     /// Map-space x coordinate.
     pub x: f64,

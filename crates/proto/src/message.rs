@@ -37,27 +37,27 @@ pub enum Request {
         /// The query rectangle.
         rect: WireRect,
     },
-    /// Append one observed point to the serving deployment's ingest log
-    /// (the streaming write path). The coordinator keeps the point and
-    /// forwards it to no shard; the index itself is untouched until a
-    /// maintenance pass merges the log, retrains and stages the trained
-    /// model on every shard.
+    /// Count one observed point into the serving deployment's per-cell
+    /// ingest state (the streaming write path). The coordinator keeps
+    /// its cell and label and forwards it to no shard; the index itself
+    /// is untouched until a maintenance pass merges the counts, retrains
+    /// and stages the trained model on every shard.
     Ingest {
         /// Map-space x coordinate.
         x: f64,
         /// Map-space y coordinate.
         y: f64,
-        /// Opaque cohort tag, logged with the point; neither the merge
-        /// nor drift detection reads it.
+        /// Opaque cohort tag; neither the merge nor drift detection
+        /// reads it, so the coordinator does not keep it.
         group: u32,
         /// Observed binary outcome for the served task.
         label: bool,
     },
     /// Append a batch of observed points in one round-trip (the
-    /// high-throughput write path). The coordinator logs them in
-    /// request order, exactly as a run of [`Request::Ingest`]s.
+    /// high-throughput write path). The coordinator counts them exactly
+    /// as a run of [`Request::Ingest`]s.
     IngestBatch {
-        /// The observations, accepted in order.
+        /// The observations.
         points: Vec<IngestBody>,
     },
     /// Service statistics: shard generations, index size, backend.

@@ -35,9 +35,9 @@
 //!   compiles the result; a `Rebuild` request retrains with it and
 //!   republishes every shard through the two-phase barrier.
 //! * [`MaintenanceHandle`] — background drift-triggered maintenance for
-//!   services built `with_ingest`: polls the ingest log against a
-//!   [`MaintenanceSpec`], and when drift, occupancy or staleness trips,
-//!   merges the logged points into the training set and republishes
+//!   services built `with_ingest`: polls the pending ingest counts
+//!   against a [`MaintenanceSpec`], and when drift, occupancy or
+//!   staleness trips, merges them into the training set and republishes
 //!   through the same two-phase rebuild barrier.
 //! * [`driver`] — a multi-threaded throughput harness, also used by the
 //!   `serving` benchmark suite in `fsi-bench`.

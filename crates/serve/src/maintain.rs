@@ -3,14 +3,15 @@
 //! [`MaintenanceHandle`] owns a thread that periodically asks an
 //! ingest-enabled [`QueryService`] to
 //! [`maintain`](crate::QueryService::maintain) itself: measure drift of
-//! the pending ingest-log records, and when the [`MaintenanceSpec`]
-//! policy trips, merge the log into the training set, retrain, and
-//! republish through the same two-phase rebuild barrier manual rebuilds
-//! use. Readers keep answering from the previous generation throughout.
+//! the pending per-cell ingest counts, and when the [`MaintenanceSpec`]
+//! policy trips, merge a snapshot of them into the training set,
+//! retrain, and republish through the same two-phase rebuild barrier
+//! manual rebuilds use. Readers keep answering from the previous
+//! generation throughout.
 //!
 //! A failed pass is logged into the service's error telemetry by
 //! `maintain` itself and retried on the next poll. It never touched the
-//! log: its points stay pending, in accept order, and count once.
+//! counts: its points stay pending and count once.
 
 use crate::error::ServeError;
 use crate::service::QueryService;
@@ -29,7 +30,7 @@ const SHUTDOWN_SLICE: Duration = Duration::from_millis(25);
 /// A handle to a background maintenance thread.
 ///
 /// Spawned over a clone of an ingest-enabled service (clones share the
-/// ingest log and the index handles with the original, so a
+/// ingest counts and the index handles with the original, so a
 /// rebuild published here is visible to every other clone). Dropping the
 /// handle stops the thread; [`stop`](MaintenanceHandle::stop) does the
 /// same and reports how many rebuilds the thread published.

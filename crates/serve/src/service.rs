@@ -18,7 +18,8 @@
 //! reader through `LocalShard::read`, the one place an in-process read
 //! is answered; every other slot is forwarded to. Ingestion stays on
 //! the coordinator: shards never see an `Ingest`, only the model a
-//! maintenance rebuild trained on the seed and the log.
+//! maintenance rebuild trained on the seed and the per-cell ingest
+//! counts.
 //!
 //! The service is **cheap to clone and single-threaded by design**:
 //! each clone owns its per-shard [`IndexReader`]s, while the topology
@@ -38,8 +39,8 @@ use fsi_core::CellStats;
 use fsi_data::SpatialDataset;
 use fsi_geo::Point;
 use fsi_ingest::{
-    baseline_stats, merge_dataset, DeltaBuffer, DriftDetector, DriftReport, IngestError,
-    IngestRecord, MaintenanceSpec,
+    baseline_stats, merge_counts, DeltaBuffer, DriftDetector, DriftReport, IngestError,
+    MaintenanceSpec,
 };
 use fsi_obs::{Histogram, Recorder, Registry};
 use fsi_pipeline::{MethodRun, PipelineError, PipelineSpec, TaskSpec};
@@ -82,17 +83,18 @@ impl From<DecisionBody> for Decision {
 /// The streaming-ingestion state of a service, shared by every clone
 /// (transport workers ingest concurrently).
 ///
-/// The buffer is the coordinator's one accept-ordered ingest log. Every
-/// maintenance pass trains on the seed merged with the *whole* log and
-/// stages the trained model on every shard, so the log itself never
-/// leaves the coordinator. Only after the commit is the trained prefix
-/// marked merged and the baseline advanced by its cell deltas, so a
-/// failed pass changes nothing.
+/// The buffer holds the coordinator's per-cell ingest counts, merged
+/// and pending. Every maintenance pass snapshots them, trains on the
+/// seed merged with merged plus the pending snapshot, and stages the
+/// trained model on every shard, so ingested points never leave the
+/// coordinator. Only after the commit does the snapshot move into
+/// merged and the baseline advance by it, so a failed pass changes
+/// nothing.
 struct IngestState {
     buffer: DeltaBuffer,
     /// Per-cell statistics of the currently *published* dataset (seed
-    /// plus the merged log prefix) — what drift is measured against.
-    /// Lock order: this, then the buffer's log.
+    /// plus the merged counts) — what drift is measured against.
+    /// Lock order: this, then the buffer's counts.
     baseline: Mutex<CellStats>,
 }
 
@@ -179,12 +181,13 @@ impl QueryService {
     }
 
     /// Enables streaming ingestion: `Ingest` / `IngestBatch` requests
-    /// append to the coordinator's ingest log (with live per-cell drift
-    /// statistics against the `task` baseline), and
-    /// [`QueryService::maintain`] folds the log into a full two-phase
-    /// rebuild when the policy triggers. Requires a training dataset
-    /// ([`QueryService::with_rebuild`] first) — the log validates points
-    /// against its grid, and maintenance merges into it.
+    /// count into the coordinator's per-cell ingest state (with live
+    /// drift statistics against the `task` baseline), and
+    /// [`QueryService::maintain`] folds the pending counts into a full
+    /// two-phase rebuild when the policy triggers. Requires a training
+    /// dataset ([`QueryService::with_rebuild`] first) — the buffer
+    /// validates points against its grid, and maintenance merges into
+    /// it.
     pub fn with_ingest(mut self, task: TaskSpec) -> Result<Self, ServeError> {
         let dataset = self
             .rebuild_dataset
@@ -699,7 +702,7 @@ impl QueryService {
     }
 
     /// The `Ingested` acknowledgement: this request's accept count, the
-    /// number of pending log records and the in-process generation.
+    /// number of pending points and the in-process generation.
     fn ingested(&self, state: &IngestState, accepted: u64) -> Response {
         Response::Ingested {
             accepted,
@@ -708,10 +711,11 @@ impl QueryService {
         }
     }
 
-    /// One streamed observation into the coordinator's ingest log.
+    /// One streamed observation into the coordinator's ingest counts.
     /// Out-of-bounds points are a structured error (mirroring `Lookup`).
-    /// Shards never see the point: the coordinator's log is the one
-    /// source of truth, shipped to them by the next maintenance rebuild.
+    /// Shards never see the point: the coordinator's counts are the one
+    /// source of truth, and shards stage the model the next maintenance
+    /// rebuild trains on them.
     fn ingest(&self, x: f64, y: f64, group: u32, label: bool) -> Response {
         let Some(state) = &self.ingest else {
             return Self::ingest_unavailable();
@@ -722,8 +726,7 @@ impl QueryService {
         self.ingested(state, 1)
     }
 
-    /// The bulk write path: accepts in request order, so the global
-    /// sequence matches the batch. Out-of-bounds points are skipped, not
+    /// The bulk write path. Out-of-bounds points are skipped, not
     /// fatal: `accepted` reports how many landed and the rejected tally
     /// is scraped via the ingest telemetry.
     fn ingest_batch(&self, points: &[IngestBody]) -> Response {
@@ -963,16 +966,16 @@ impl QueryService {
         }
     }
 
-    /// Trains `spec` on the rebuild dataset merged with `log`, in log
-    /// order (an empty log trains on the seed itself), with labels read
-    /// under `spec.task`. Answers the compiled index, the run behind it
-    /// and the [`Request::RebuildStage`] that ships the same model to
-    /// forwarded slots. The one mapping from training failures to
-    /// protocol errors.
+    /// Trains `spec` on the rebuild dataset merged with the per-cell
+    /// `(count, positive)` ingest sums `cells` ([`merge_counts`]; `None`
+    /// trains on the seed itself), with labels read under `spec.task`.
+    /// Answers the compiled index, the run behind it and the
+    /// [`Request::RebuildStage`] that ships the same model to forwarded
+    /// slots. The one mapping from training failures to protocol errors.
     fn train(
         &self,
         spec: &PipelineSpec,
-        log: &[IngestRecord],
+        cells: Option<&(Vec<f64>, Vec<f64>)>,
     ) -> Result<(FrozenIndex, MethodRun, Request), Response> {
         let Some(seed) = self.rebuild_dataset.as_deref() else {
             return Err(Response::error(
@@ -980,15 +983,13 @@ impl QueryService {
                 "this service was built without a training dataset; rebuilds are disabled",
             ));
         };
-        let merged;
-        let dataset = if log.is_empty() {
-            seed
-        } else {
-            merged = merge_dataset(seed, &spec.task, log).map_err(|e| {
+        let merged = cells
+            .map(|cells| merge_counts(seed, &spec.task, cells))
+            .transpose()
+            .map_err(|e| {
                 Response::error(ErrorCode::Internal, format!("delta merge failed: {e}"))
             })?;
-            &merged
-        };
+        let dataset = merged.as_ref().unwrap_or(seed);
         let (index, run) = build_index(dataset, spec).map_err(|e| match e {
             ServeError::Pipeline(PipelineError::InvalidConfig(msg)) => {
                 Response::error(ErrorCode::InvalidSpec, msg)
@@ -1079,19 +1080,21 @@ impl QueryService {
     /// The coordinator barrier behind `Rebuild` and
     /// [`QueryService::maintain`], run under the topology's barrier lock
     /// from training to commit. With ingestion configured it is a
-    /// maintenance pass: the index trains on the seed merged with the
-    /// whole ingest log as it stands, and every slot stages that one
-    /// trained model. Only after the commit is that prefix marked
-    /// merged and the baseline advanced by its cell deltas — the sums
-    /// are integer-valued, so this equals `baseline_stats` over the
-    /// merged dataset bit for bit. On failure nothing changes: the old
-    /// generation keeps serving and every point stays pending, in order.
+    /// maintenance pass: it snapshots the per-cell counts, the index
+    /// trains on the seed merged with merged plus pending snapshot, and
+    /// every slot stages that one trained model. Only after the commit
+    /// does the snapshot move into merged and the baseline advance by
+    /// it — the sums are integer-valued, so this equals
+    /// `baseline_stats` over the merged dataset bit for bit. Points
+    /// accepted during the pass stay pending. On failure nothing
+    /// changes: the old generation keeps serving and every point stays
+    /// pending, counted once.
     fn rebuild(&self, spec: &PipelineSpec) -> Response {
         let started = Instant::now();
         let _barrier = self.topology.lock_barrier();
-        let log = self.ingest.as_ref().map(|state| state.buffer.log());
+        let counts = self.ingest.as_ref().map(|state| state.buffer.pass_counts());
         let published = self
-            .train(spec, log.as_deref().unwrap_or_default())
+            .train(spec, counts.as_ref().map(|[all, _]| all))
             .and_then(|(index, run, stage)| {
                 self.prepare_all(&index, &stage)?;
                 Ok((index, run, self.commit_all()?))
@@ -1100,11 +1103,11 @@ impl QueryService {
             Ok(published) => published,
             Err(response) => return response,
         };
-        if let (Some(state), Some(log)) = (&self.ingest, &log) {
+        if let (Some(state), Some([_, snapshot])) = (&self.ingest, &counts) {
             let mut baseline = state.baseline.lock().expect("baseline lock poisoned");
-            let (counts, labels) = state.buffer.mark_merged(log.len());
-            let zeros = vec![0.0; counts.len()];
-            match baseline.with_deltas(state.buffer.grid(), &counts, &zeros, &labels) {
+            state.buffer.mark_merged(snapshot);
+            let zeros = vec![0.0; snapshot.0.len()];
+            match baseline.with_deltas(state.buffer.grid(), &snapshot.0, &zeros, &snapshot.1) {
                 Ok(advanced) => *baseline = advanced,
                 Err(e) => return Response::error(ErrorCode::Internal, e.to_string()),
             }
@@ -1123,7 +1126,7 @@ impl QueryService {
 
     /// One maintenance poll: measure drift against the published baseline,
     /// check the policy's triggers, and — when one fires — fold the
-    /// log into a full two-phase rebuild. Returns the new generation
+    /// pending counts into a full two-phase rebuild. Returns the new generation
     /// when a rebuild published, `None` when nothing was due. The
     /// background driver ([`crate::MaintenanceHandle`]) calls this on
     /// the policy's poll cadence; callers can also invoke it directly
@@ -1168,7 +1171,7 @@ impl QueryService {
     /// slot. Nothing is served until the commit.
     fn rebuild_prepare(&self, spec: &PipelineSpec) -> Response {
         let _barrier = self.topology.lock_barrier();
-        match self.train(spec, &[]) {
+        match self.train(spec, None) {
             Ok((index, run, stage)) => {
                 self.stage_all(&index, &stage, run.eval.full.ence, run.build_time)
             }
@@ -1287,6 +1290,7 @@ mod tests {
     use crate::topology::{BackendSpec, ShardBackend, ShardDescriptor, TopologySpec};
     use crate::IndexHandle;
     use fsi_geo::{Grid, Partition, Rect};
+    use fsi_ingest::{merge_dataset, IngestRecord};
     use fsi_pipeline::ModelSnapshot;
     use std::sync::{mpsc, Mutex};
 
@@ -2206,8 +2210,8 @@ mod tests {
                 other => panic!("expected ingested, got {other:?}"),
             }
         }
-        // A manual rebuild trains on the seed and the log, and the stub
-        // remotes stage and commit the trained model.
+        // A manual rebuild trains on the seed and the counts, and the
+        // stub remotes stage and commit the trained model.
         let Response::Rebuilt { report } = svc.dispatch(&Request::Rebuild {
             spec: ingest_spec(),
         }) else {
@@ -2423,8 +2427,28 @@ mod tests {
         (svc, [a, b].concat())
     }
 
+    /// Every cell centre's decision on the 8×8 test grid, scores as
+    /// bits, so two indexes compare bit for bit.
+    fn served_bits(svc: &mut QueryService) -> Vec<(usize, usize, u64, u64)> {
+        (0..64)
+            .map(|i| {
+                let (x, y) = (((i % 8) as f64 + 0.5) / 8.0, ((i / 8) as f64 + 0.5) / 8.0);
+                let Response::Decision { decision } = svc.dispatch(&Request::Lookup { x, y })
+                else {
+                    panic!("expected decision at ({x}, {y})");
+                };
+                (
+                    decision.leaf_id,
+                    decision.group,
+                    decision.raw_score.to_bits(),
+                    decision.calibrated_score.to_bits(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn a_failed_pass_keeps_its_points_in_accept_order() {
+    fn a_failed_pass_keeps_its_points_pending() {
         let (mut svc, points) = failed_pass_with_a_racing_ingest();
         let Response::Rebuilt { report } = svc.dispatch(&Request::Rebuild {
             spec: ingest_spec(),
@@ -2436,20 +2460,32 @@ mod tests {
         // A then B.
         let merged = merge_dataset(&dataset(), &ingest_spec().task, &records(&points)).unwrap();
         let (reference, _) = build_index(&merged, &ingest_spec()).unwrap();
-        for i in 0..64 {
-            let (x, y) = (((i % 8) as f64 + 0.5) / 8.0, ((i / 8) as f64 + 0.5) / 8.0);
-            let expected = reference.lookup(&Point::new(x, y)).unwrap();
-            let Response::Decision { decision } = svc.dispatch(&Request::Lookup { x, y }) else {
-                panic!("expected decision at ({x}, {y})");
-            };
-            assert_eq!(decision.leaf_id, expected.leaf_id, "({x}, {y})");
-            assert_eq!(decision.group, expected.group, "({x}, {y})");
-            assert_eq!(decision.raw_score.to_bits(), expected.raw_score.to_bits());
-            assert_eq!(
-                decision.calibrated_score.to_bits(),
-                expected.calibrated_score.to_bits()
-            );
-        }
+        let mut reference = QueryService::from(reference);
+        assert_eq!(served_bits(&mut svc), served_bits(&mut reference));
+    }
+
+    #[test]
+    fn any_arrival_order_publishes_one_index() {
+        let points: Vec<IngestBody> = (0..60u32)
+            .map(|i| {
+                let x = (f64::from(i * 37 % 97) + 0.5) / 97.0;
+                let y = (f64::from(i * 61 % 89) + 0.5) / 89.0;
+                IngestBody::new(x, y, i % 2, i % 3 == 0)
+            })
+            .collect();
+        let reversed: Vec<IngestBody> = points.iter().rev().copied().collect();
+        let served = [points, reversed].map(|order| {
+            let mut svc = ingest_service((2, 2));
+            for body in &order {
+                ingest_one(&mut svc, body);
+            }
+            let answer = svc.dispatch(&Request::Rebuild {
+                spec: ingest_spec(),
+            });
+            assert!(matches!(answer, Response::Rebuilt { .. }), "{answer:?}");
+            served_bits(&mut svc)
+        });
+        assert_eq!(served[0], served[1]);
     }
 
     #[test]

@@ -483,9 +483,9 @@ fn streamed_wave(grid: &Grid, n: u32) -> Vec<IngestBody> {
 /// maintenance pass, every decision — local or routed across the wire —
 /// is **bit-identical** to a from-scratch retrain on seed ∪ streamed
 /// points, and every slot ends on the same generation. The coordinator
-/// alone merges its ingest log and retrains; the HTTP shard servers
-/// (which never saw an `Ingest` request and hold no dataset) stage the
-/// model it ships. Runs over three slot shapes: local and HTTP
+/// alone merges its per-cell ingest counts and retrains; the HTTP shard
+/// servers (which never saw an `Ingest` request and hold no dataset)
+/// stage the model it ships. Runs over three slot shapes: local and HTTP
 /// slots, all-local replica slots, and one replica slot pairing a local
 /// member with an HTTP shard server.
 #[test]
@@ -593,8 +593,9 @@ fn maintenance_matches_a_from_scratch_retrain(shape: Vec<BackendSpec>) {
         .expect("occupancy past the policy must trigger a rebuild");
     assert_eq!(generation, 2, "{shape:?}");
 
-    // From-scratch reference: retrain on seed ∪ streamed points, merged
-    // in stream order — exactly what every shard must now be serving.
+    // From-scratch reference: retrain on seed ∪ streamed points (the
+    // merge folds them into per-cell counts, so their order does not
+    // matter) — exactly what every shard must now be serving.
     let records: Vec<fsi_ingest::IngestRecord> = bodies
         .iter()
         .enumerate()
@@ -751,8 +752,7 @@ fn auto_rebuilds_under_concurrent_ingest_and_reads_stay_untorn() {
             }));
         }
 
-        // The single writer: one wave per round-trip, so the
-        // coordinator's ingest log order is the submission order.
+        // The single writer: one wave per round-trip.
         let writer = scope.spawn(|| {
             let mut client = fsi::HttpClient::connect(addr).expect("writer connects");
             let mut streamed = 0u64;
