@@ -28,6 +28,28 @@
 //! the differential transport tests, the benchmark suite and the CI
 //! smoke step.
 //!
+//! ## Framing
+//!
+//! Both ends read HTTP/1.1 through one framing reader: one head parser
+//! for the request head and the response head (start line, headers,
+//! `Content-Length`, `Connection`) and one body reader. The parser caps
+//! each head line at 8 KiB *while* receiving it and a head at 100
+//! headers; over either cap the server closes the connection without an
+//! answer and the client fails the call with `InvalidData`. A missing or
+//! unparsable `Content-Length` is no length: the server answers `411`,
+//! the client refuses the response. The client also refuses a response
+//! body over 32 MiB before allocating it.
+//!
+//! Server sockets carry a 50 ms read timeout. One polling reader retries
+//! it, and interrupted reads, until data arrives; once the server is
+//! stopping, it reads as end of stream. That reader is the one place a
+//! worker waits on its peer. The client reads its plain blocking socket.
+//!
+//! Every server reply is written by one tail under one rule: a rejected
+//! request's body is drained so keep-alive stays framed, but a declared
+//! length over 16 MiB is never drained — that reply closes the
+//! connection instead.
+//!
 //! ## Observability
 //!
 //! `GET /metrics` answers the Prometheus text exposition of the served
@@ -50,7 +72,7 @@ use fsi_serve::{
     prometheus_text, QueryService, ServeError, ShardBackend, ShardDescriptor, SlotConnector,
     TransportStats,
 };
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -62,9 +84,9 @@ use std::time::{Duration, Instant};
 /// `LookupBatch` is ~4 MB) while bounding a malicious content-length.
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
-/// Largest accepted request-line or header line. Head parsing enforces
-/// this *while* receiving, so an endless unterminated line cannot grow
-/// a worker's memory.
+/// Largest accepted head line, request or response. Head parsing
+/// enforces this *while* receiving, so an endless unterminated line
+/// cannot grow a worker's memory.
 const MAX_HEAD_LINE_BYTES: usize = 8 * 1024;
 
 /// Largest response body [`HttpClient`] accepts: room for the answer
@@ -73,7 +95,7 @@ const MAX_HEAD_LINE_BYTES: usize = 8 * 1024;
 /// can no longer size the client's allocation.
 const MAX_RESPONSE_BODY_BYTES: usize = 2 * MAX_BODY_BYTES;
 
-/// Most headers accepted in one request head.
+/// Most headers accepted in one message head.
 const MAX_HEADERS: usize = 100;
 
 /// How often blocked I/O wakes up to check the shutdown flag.
@@ -160,7 +182,7 @@ pub struct HttpServer {
 impl HttpServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and serves
     /// `service` with 4 worker threads.
-    pub fn bind(service: QueryService, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+    pub fn bind(service: QueryService, addr: impl ToSocketAddrs) -> io::Result<Self> {
         Self::bind_with(service, addr, 4)
     }
 
@@ -172,7 +194,7 @@ impl HttpServer {
         service: QueryService,
         addr: impl ToSocketAddrs,
         workers: usize,
-    ) -> std::io::Result<Self> {
+    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -261,115 +283,166 @@ impl Drop for HttpServer {
     }
 }
 
-/// Reads one `\n`-terminated line into `buf`, retrying on read timeouts
-/// until data arrives, EOF, or the stop flag is raised. Returns `Ok(0)`
-/// on EOF/stop, and errors once the line exceeds `max_len` — a head
-/// line that long is an attack on worker memory, not a request.
-fn read_line_polling(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut String,
-    stop: &AtomicBool,
-    max_len: usize,
-) -> std::io::Result<usize> {
-    let mut raw: Vec<u8> = Vec::new();
-    loop {
-        // fill_buf (not read_line) so the length cap applies *while*
-        // receiving: one endless unterminated line can never grow past
-        // max_len + one buffer fill.
-        let (done, used) = {
-            let available = match reader.fill_buf() {
-                Ok(available) => available,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if stop.load(Ordering::Acquire) {
+/// The read side of a server connection, whose socket carries a
+/// [`POLL_INTERVAL`] read timeout: timed-out and interrupted reads are
+/// retried until data arrives, and once `stop` is raised they read as
+/// end of stream instead.
+struct Polling<'a> {
+    stream: &'a TcpStream,
+    stop: &'a AtomicBool,
+}
+
+impl Read for Polling<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) =>
+                {
+                    if self.stop.load(Ordering::Acquire) {
                         return Ok(0);
                     }
-                    continue;
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            if available.is_empty() {
-                (true, 0) // EOF
-            } else if let Some(pos) = available.iter().position(|&b| b == b'\n') {
-                raw.extend_from_slice(&available[..=pos]);
-                (true, pos + 1)
-            } else {
-                raw.extend_from_slice(available);
-                (false, available.len())
+                result => return result,
             }
-        };
-        reader.consume(used);
-        if raw.len() > max_len {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("request head line exceeds {max_len} bytes"),
-            ));
         }
-        if done {
+    }
+}
+
+/// One message head, request or response.
+struct Head {
+    /// The start line's first two fields: method and target of a
+    /// request, version and status of a response.
+    fields: [String; 2],
+    /// Whether the start line's third field, a request's version, is
+    /// `HTTP/1.0`.
+    http_1_0: bool,
+    /// `None` when the header is missing or unparsable.
+    content_length: Option<usize>,
+    /// `Some(keep_alive)` when a `Connection` header asked for one.
+    connection: Option<bool>,
+}
+
+/// Reads one message head. `None` means the stream ended before a
+/// start line began: the peer hung up between messages, or the server
+/// is stopping.
+fn parse_head(reader: &mut impl BufRead) -> io::Result<Option<Head>> {
+    let Some(line) = read_head_line(reader)? else {
+        return Ok(None);
+    };
+    let mut parts = line.split_whitespace();
+    let mut next = || parts.next().unwrap_or_default().to_string();
+    let fields = [next(), next()];
+    let mut head = Head {
+        fields,
+        http_1_0: parts.next() == Some("HTTP/1.0"),
+        content_length: None,
+        connection: None,
+    };
+    for headers_seen in 0.. {
+        if headers_seen > MAX_HEADERS {
+            return Err(invalid_data(format!(
+                "message head exceeds {MAX_HEADERS} headers"
+            )));
+        }
+        let Some(header) = read_head_line(reader)? else {
+            return Err(io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "connection closed inside a message head",
+            ));
+        };
+        let header = header.trim();
+        if header.is_empty() {
             break;
         }
-    }
-    buf.push_str(&String::from_utf8_lossy(&raw));
-    Ok(raw.len())
-}
-
-/// Reads and discards exactly `len` body bytes — used to keep a
-/// keep-alive connection framed after answering a request whose body is
-/// irrelevant (unknown path, wrong method). Returns `false` on
-/// EOF/shutdown.
-fn drain_body_polling(
-    reader: &mut BufReader<TcpStream>,
-    mut len: usize,
-    stop: &AtomicBool,
-) -> std::io::Result<bool> {
-    let mut sink = [0u8; 4096];
-    while len > 0 {
-        let want = len.min(sink.len());
-        match reader.read(&mut sink[..want]) {
-            Ok(0) => return Ok(false),
-            Ok(n) => len -= n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(false);
-                }
+        let Some((name, value)) = header.split_once(':') else {
+            continue;
+        };
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            head.content_length = value.parse().ok();
+        } else if name.eq_ignore_ascii_case("connection") {
+            if value.eq_ignore_ascii_case("close") {
+                head.connection = Some(false);
+            } else if value.eq_ignore_ascii_case("keep-alive") {
+                head.connection = Some(true);
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
-    Ok(true)
+    Ok(Some(head))
 }
 
-/// Reads exactly `len` body bytes, retrying on read timeouts.
-fn read_body_polling(
-    reader: &mut BufReader<TcpStream>,
-    len: usize,
-    stop: &AtomicBool,
-) -> std::io::Result<Option<Vec<u8>>> {
+/// Reads one head line, refusing one longer than [`MAX_HEAD_LINE_BYTES`]
+/// before buffering more of it. `None` at end of stream.
+///
+/// Every line gets fresh buffers on purpose. One line buffer reused
+/// across a head allocates less, but on e2ebench `batch_scan` it doubled
+/// the server workers' page faults and cost about a quarter of read p95:
+/// glibc then placed the large per-request buffers in a heap it trims
+/// after each request.
+fn read_head_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
+    let mut raw = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(MAX_HEAD_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut raw)?;
+    if n > MAX_HEAD_LINE_BYTES {
+        return Err(invalid_data(format!(
+            "head line exceeds {MAX_HEAD_LINE_BYTES} bytes"
+        )));
+    }
+    Ok((n > 0).then(|| String::from_utf8_lossy(&raw).into_owned()))
+}
+
+/// Reads a body of exactly `len` bytes; callers cap `len` first.
+fn read_body(reader: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
     let mut body = vec![0u8; len];
-    let mut read = 0;
-    while read < len {
-        match reader.read(&mut body[read..]) {
-            Ok(0) => return Ok(None), // peer hung up mid-body
-            Ok(n) => read += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(body))
+    reader.read_exact(&mut body)?;
+    Ok(body)
 }
 
-/// One parsed request head.
-struct Head {
-    method: String,
-    path: String,
-    content_length: Option<usize>,
-    keep_alive: bool,
+/// Reads and discards `len` body bytes. `false` when the stream ended
+/// first.
+fn drain_body(reader: &mut impl Read, len: usize) -> io::Result<bool> {
+    Ok(io::copy(&mut reader.take(len as u64), &mut io::sink())? == len as u64)
+}
+
+/// An `InvalidData` error: the peer sent what this end refuses to frame.
+fn invalid_data(message: impl Into<String>) -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, message.into())
+}
+
+/// One response, built by a branch of [`serve_connection`] and written
+/// by its tail.
+struct Reply {
+    status: u16,
+    reason: &'static str,
+    content_type: &'static str,
+    body: String,
+    /// Request-body bytes to discard after the reply, so the next
+    /// request starts at its head; `None` when the request is unframed.
+    drain: Option<usize>,
+}
+
+impl Reply {
+    /// A transport-level error with a structured error envelope.
+    fn error(
+        status: u16,
+        reason: &'static str,
+        message: impl Into<String>,
+        drain: Option<usize>,
+    ) -> Self {
+        Self {
+            status,
+            reason,
+            content_type: "application/json",
+            body: error_wire(ErrorBody::new(ErrorCode::MalformedRequest, message)),
+            drain,
+        }
+    }
 }
 
 /// Serves one connection until the peer closes, requests `Connection:
@@ -379,24 +452,30 @@ fn serve_connection(
     service: &mut QueryService,
     stop: &AtomicBool,
     obs: &Recorder<HttpMetrics>,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let mut reader = BufReader::new(Polling {
+        stream: &stream,
+        stop,
+    });
 
-    loop {
-        let head = match read_head(&mut reader, stop)? {
-            Some(head) => head,
-            None => return Ok(()), // EOF or shutdown between requests
-        };
+    // EOF or shutdown between requests ends the connection.
+    while let Some(head) = parse_head(&mut reader)? {
         // Counted before any phase is recorded, so a concurrent scrape
         // can never see more phase samples than requests.
         obs.requests.inc();
-        // The Prometheus scrape surface sits outside the JSON envelope
-        // path: the service's own metrics (scatter-gathered across
-        // shards) plus this transport's block, as text exposition.
-        if head.method == "GET" && head.path == "/metrics" {
+        let [method, path] = &head.fields;
+        // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
+        let keep_alive = head.connection.unwrap_or(!head.http_1_0);
+        // A rejected request's body must still be consumed, or the next
+        // request on this keep-alive connection would be parsed from
+        // the middle of the leftover body.
+        let declared = Some(head.content_length.unwrap_or(0));
+        let reply = if method == "GET" && path == "/metrics" {
+            // The Prometheus scrape surface sits outside the JSON
+            // envelope path: the service's own metrics (scatter-gathered
+            // across shards) plus this transport's block.
             let handle_started = Instant::now();
             let text = match service.dispatch(&Request::Metrics) {
                 Response::Metrics { mut metrics } => {
@@ -409,186 +488,72 @@ fn serve_connection(
                 other => format!("# metrics unavailable: unexpected {other:?}\n"),
             };
             obs.handle.record(elapsed_nanos(handle_started));
-            let write_started = Instant::now();
-            write_http(
-                &mut writer,
-                200,
-                "OK",
-                METRICS_CONTENT_TYPE,
-                &text,
-                head.keep_alive,
-            )?;
-            obs.write.record(elapsed_nanos(write_started));
-            let body_len = head.content_length.unwrap_or(0);
-            if !head.keep_alive || !drain_body_polling(&mut reader, body_len, stop)? {
-                return Ok(());
+            Reply {
+                status: 200,
+                reason: "OK",
+                content_type: METRICS_CONTENT_TYPE,
+                body: text,
+                drain: declared,
             }
-            continue;
-        }
-        // Transport-level validation, most specific failure first. A
-        // rejected request's body must still be consumed, or the next
-        // request on this keep-alive connection would be parsed from
-        // the middle of the leftover body.
-        let reject = if head.method != "POST" {
-            Some((
-                405,
-                "Method Not Allowed",
-                format!(
-                    "method {} not supported; POST a request envelope",
-                    head.method
-                ),
-            ))
-        } else if head.path != "/" && head.path != "/query" {
-            Some((
-                404,
-                "Not Found",
-                format!("unknown path {}; POST to /query", head.path),
-            ))
-        } else {
-            None
-        };
-        if let Some((status, reason, message)) = reject {
-            let body_len = head.content_length.unwrap_or(0);
-            // An absurd declared length is not worth draining: answer
-            // and close instead (keep_alive = false framing).
-            let drainable = body_len <= MAX_BODY_BYTES;
-            let keep_alive = head.keep_alive && drainable;
-            write_http(
-                &mut writer,
+        } else if method != "POST" {
+            let message = format!("method {method} not supported; POST a request envelope");
+            Reply::error(405, "Method Not Allowed", message, declared)
+        } else if path != "/" && path != "/query" {
+            let message = format!("unknown path {path}; POST to /query");
+            Reply::error(404, "Not Found", message, declared)
+        } else if let Some(length) = head.content_length.filter(|&n| n <= MAX_BODY_BYTES) {
+            let read_started = Instant::now();
+            let body = read_body(&mut reader, length)?;
+            obs.read.record(elapsed_nanos(read_started));
+
+            let handle_started = Instant::now();
+            let (status, reason, wire) = match std::str::from_utf8(&body)
+                .map_err(|e| ProtoError::Json(format!("body is not UTF-8: {e}")))
+                .and_then(decode_request)
+            {
+                Ok(request) => {
+                    let mut response = service.dispatch(&request);
+                    // Metrics answered over this transport carry its
+                    // block, so wire scrapers see the same picture as
+                    // /metrics.
+                    if let Response::Metrics { metrics } = &mut response {
+                        metrics.http = Some(http_obs_body(obs.registry()));
+                    }
+                    (200, "OK", encode_response(&response))
+                }
+                Err(e) => (400, "Bad Request", error_wire(ErrorBody::from(&e))),
+            };
+            obs.handle.record(elapsed_nanos(handle_started));
+            Reply {
                 status,
                 reason,
-                "application/json",
-                &error_wire(ErrorBody::new(
-                    fsi_proto::ErrorCode::MalformedRequest,
-                    message,
-                )),
-                keep_alive,
-            )?;
-            if !keep_alive || !drain_body_polling(&mut reader, body_len, stop)? {
-                return Ok(());
+                content_type: "application/json",
+                body: wire,
+                drain: Some(0),
             }
-            continue;
-        }
-        let Some(length) = head.content_length else {
-            // Without a length the connection is unframed: answer and close.
-            write_http(
-                &mut writer,
-                411,
-                "Length Required",
-                "application/json",
-                &error_wire(ErrorBody::new(
-                    fsi_proto::ErrorCode::MalformedRequest,
-                    "a Content-Length header is required",
-                )),
-                false,
-            )?;
-            return Ok(());
+        } else if let Some(length) = head.content_length {
+            let message =
+                format!("request body of {length} bytes exceeds the {MAX_BODY_BYTES} limit");
+            Reply::error(413, "Content Too Large", message, declared)
+        } else {
+            let message = "a Content-Length header is required";
+            Reply::error(411, "Length Required", message, None)
         };
-        if length > MAX_BODY_BYTES {
-            write_http(
-                &mut writer,
-                413,
-                "Content Too Large",
-                "application/json",
-                &error_wire(ErrorBody::new(
-                    fsi_proto::ErrorCode::MalformedRequest,
-                    format!("request body of {length} bytes exceeds the {MAX_BODY_BYTES} limit"),
-                )),
-                false,
-            )?;
-            return Ok(());
-        }
-        let read_started = Instant::now();
-        let Some(body) = read_body_polling(&mut reader, length, stop)? else {
-            return Ok(());
-        };
-        obs.read.record(elapsed_nanos(read_started));
 
-        let handle_started = Instant::now();
-        let (status, reason, wire) = match std::str::from_utf8(&body)
-            .map_err(|e| ProtoError::Json(format!("body is not UTF-8: {e}")))
-            .and_then(decode_request)
-        {
-            Ok(request) => {
-                let mut response = service.dispatch(&request);
-                // Metrics answered over this transport carry its block,
-                // so wire scrapers see the same picture as /metrics.
-                if let Response::Metrics { metrics } = &mut response {
-                    metrics.http = Some(http_obs_body(obs.registry()));
-                }
-                (200, "OK", encode_response(&response))
-            }
-            Err(e) => (400, "Bad Request", error_wire(ErrorBody::from(&e))),
-        };
-        obs.handle.record(elapsed_nanos(handle_started));
+        // The one framing rule: an unframed request, or a declared body
+        // too large to be worth draining, closes the connection.
+        let drain = reply
+            .drain
+            .filter(|&len| keep_alive && len <= MAX_BODY_BYTES);
         let write_started = Instant::now();
-        write_http(
-            &mut writer,
-            status,
-            reason,
-            "application/json",
-            &wire,
-            head.keep_alive,
-        )?;
+        write_http(&stream, &reply, drain.is_some())?;
         obs.write.record(elapsed_nanos(write_started));
-        if !head.keep_alive {
-            return Ok(());
+        match drain {
+            Some(len) if drain_body(&mut reader, len)? => {}
+            _ => return Ok(()),
         }
     }
-}
-
-/// Reads and parses one request head (request line + headers). `None`
-/// means a clean EOF / shutdown before a request started.
-fn read_head(
-    reader: &mut BufReader<TcpStream>,
-    stop: &AtomicBool,
-) -> std::io::Result<Option<Head>> {
-    let mut line = String::new();
-    if read_line_polling(reader, &mut line, stop, MAX_HEAD_LINE_BYTES)? == 0 {
-        return Ok(None);
-    }
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or_default().to_string();
-    let path = parts.next().unwrap_or_default().to_string();
-    let version = parts.next().unwrap_or("HTTP/1.1");
-    // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
-    let mut keep_alive = version != "HTTP/1.0";
-    let mut content_length = None;
-    for headers_seen in 0.. {
-        if headers_seen > MAX_HEADERS {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("request head exceeds {MAX_HEADERS} headers"),
-            ));
-        }
-        let mut header = String::new();
-        if read_line_polling(reader, &mut header, stop, MAX_HEAD_LINE_BYTES)? == 0 {
-            return Ok(None); // EOF mid-head
-        }
-        let header = header.trim();
-        if header.is_empty() {
-            break;
-        }
-        let Some((name, value)) = header.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse::<usize>().ok();
-        } else if name.eq_ignore_ascii_case("connection") {
-            if value.eq_ignore_ascii_case("close") {
-                keep_alive = false;
-            } else if value.eq_ignore_ascii_case("keep-alive") {
-                keep_alive = true;
-            }
-        }
-    }
-    Ok(Some(Head {
-        method,
-        path,
-        content_length,
-        keep_alive,
-    }))
+    Ok(())
 }
 
 /// The wire form of a transport-level error response.
@@ -597,14 +562,14 @@ fn error_wire(error: ErrorBody) -> String {
 }
 
 /// Writes one framed HTTP response.
-fn write_http(
-    writer: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
+fn write_http(mut writer: &TcpStream, reply: &Reply, keep_alive: bool) -> io::Result<()> {
+    let Reply {
+        status,
+        reason,
+        content_type,
+        body,
+        ..
+    } = reply;
     let connection = if keep_alive { "keep-alive" } else { "close" };
     write!(
         writer,
@@ -617,18 +582,18 @@ fn write_http(
 /// A blocking keep-alive client for the HTTP transport: one TCP
 /// connection, one in-flight request at a time.
 pub struct HttpClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// Responses are read through the buffer; requests are written to
+    /// the socket underneath it.
+    conn: BufReader<TcpStream>,
 }
 
 impl HttpClient {
     /// Connects to a running [`HttpServer`].
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Self {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
+            conn: BufReader::new(stream),
         })
     }
 
@@ -660,97 +625,52 @@ impl HttpClient {
     /// under its unfinished write.
     pub fn post(&mut self, body: &str) -> Result<(u16, String), FsiError> {
         refuse_oversized(body)?;
+        let mut writer = self.conn.get_ref();
         write!(
-            self.writer,
+            writer,
             "POST /query HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         )?;
-        self.writer.flush()?;
+        writer.flush()?;
         self.read_response()
     }
 
     /// Sends a bodyless `GET` and returns `(status, response body)` —
     /// how `/metrics` is scraped over a keep-alive connection.
     pub fn get(&mut self, path: &str) -> Result<(u16, String), FsiError> {
-        write!(self.writer, "GET {path} HTTP/1.1\r\n\r\n")?;
-        self.writer.flush()?;
+        let mut writer = self.conn.get_ref();
+        write!(writer, "GET {path} HTTP/1.1\r\n\r\n")?;
+        writer.flush()?;
         self.read_response()
     }
 
-    /// Reads one response head line, refusing one longer than
-    /// [`MAX_HEAD_LINE_BYTES`] before buffering more of it.
-    fn read_head_line(&mut self, line: &mut String) -> Result<usize, FsiError> {
-        let cap = MAX_HEAD_LINE_BYTES as u64 + 1;
-        let n = (&mut self.reader).take(cap).read_line(line)?;
-        if n > MAX_HEAD_LINE_BYTES {
-            return Err(FsiError::Io(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("response head line exceeds {MAX_HEAD_LINE_BYTES} bytes"),
-            )));
-        }
-        Ok(n)
-    }
-
     /// Reads one framed response off the connection. The peer is not
-    /// trusted: head lines and the body are capped
-    /// ([`MAX_HEAD_LINE_BYTES`], [`MAX_RESPONSE_BODY_BYTES`]), so a
-    /// broken shard cannot make the client allocate what it declares.
+    /// trusted: its head is capped like a request's, and its body must
+    /// declare a `Content-Length` within [`MAX_RESPONSE_BODY_BYTES`], so
+    /// a broken shard cannot make the client allocate what it declares.
     fn read_response(&mut self) -> Result<(u16, String), FsiError> {
-        let mut status_line = String::new();
-        if self.read_head_line(&mut status_line)? == 0 {
-            return Err(FsiError::Io(std::io::Error::new(
+        let head = parse_head(&mut self.conn)?.ok_or_else(|| {
+            io::Error::new(
                 ErrorKind::UnexpectedEof,
                 "server closed the connection before responding",
-            )));
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                FsiError::Io(std::io::Error::new(
-                    ErrorKind::InvalidData,
-                    format!("malformed status line: {status_line:?}"),
-                ))
-            })?;
-        let mut content_length = 0usize;
-        loop {
-            let mut header = String::new();
-            if self.read_head_line(&mut header)? == 0 {
-                return Err(FsiError::Io(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "connection closed inside the response head",
-                )));
-            }
-            let header = header.trim();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().map_err(|_| {
-                        FsiError::Io(std::io::Error::new(
-                            ErrorKind::InvalidData,
-                            format!("bad content-length: {value:?}"),
-                        ))
-                    })?;
-                }
-            }
-        }
-        if content_length > MAX_RESPONSE_BODY_BYTES {
-            return Err(FsiError::Io(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "response body of {content_length} bytes exceeds the \
-                     {MAX_RESPONSE_BODY_BYTES} limit"
-                ),
-            )));
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
-        let body = String::from_utf8(body).map_err(|e| {
-            FsiError::Io(std::io::Error::new(ErrorKind::InvalidData, e.to_string()))
+            )
         })?;
+        let status = head.fields[1]
+            .parse()
+            .map_err(|_| invalid_data(format!("malformed status {:?}", head.fields[1])))?;
+        let length = match head.content_length {
+            Some(length) if length <= MAX_RESPONSE_BODY_BYTES => length,
+            Some(length) => {
+                return Err(invalid_data(format!(
+                    "response body of {length} bytes exceeds the \
+                     {MAX_RESPONSE_BODY_BYTES} limit"
+                ))
+                .into())
+            }
+            None => return Err(invalid_data("response without a valid Content-Length").into()),
+        };
+        let body = String::from_utf8(read_body(&mut self.conn, length)?)
+            .map_err(|e| invalid_data(e.to_string()))?;
         Ok((status, body))
     }
 }
@@ -776,7 +696,7 @@ fn refuse_oversized(body: &str) -> Result<(), FsiError> {
     if body.len() <= MAX_BODY_BYTES {
         return Ok(());
     }
-    Err(FsiError::Io(std::io::Error::new(
+    Err(FsiError::Io(io::Error::new(
         ErrorKind::InvalidInput,
         format!(
             "request body of {} bytes exceeds the server's {MAX_BODY_BYTES}-byte limit",
@@ -1027,7 +947,8 @@ mod tests {
         // No answer ever comes, so a client that did send would time
         // out here instead of hanging the test.
         client
-            .writer
+            .conn
+            .get_ref()
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         let too_big = MAX_BODY_BYTES + 1;
@@ -1381,5 +1302,188 @@ mod tests {
         assert_invalid_data(client.post("{}"));
         drop(client);
         peer.join().unwrap();
+    }
+
+    #[test]
+    fn client_reads_a_response_sent_one_byte_at_a_time() {
+        let (addr, peer) = hostile_peer(|stream| {
+            stream.set_nodelay(true).unwrap();
+            let response = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                             Content-Length: 2\r\nConnection: keep-alive\r\n\r\n{}";
+            for byte in response {
+                stream.write_all(&[*byte]).unwrap();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        });
+        let mut client = HttpClient::connect(addr).unwrap();
+        assert_eq!(client.post("{}").unwrap(), (200, "{}".to_string()));
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn client_refuses_a_response_without_a_content_length() {
+        let (addr, peer) = hostile_peer(|stream| {
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{}")
+                .unwrap();
+        });
+        let mut client = HttpClient::connect(addr).unwrap();
+        assert_invalid_data(client.post("{}"));
+        drop(client);
+        peer.join().unwrap();
+    }
+
+    /// Writes `request` on a fresh raw connection and reads until the
+    /// server closes it, failing if the close takes over a second.
+    fn exchange_until_close(server: &HttpServer, request: &[u8]) -> String {
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        (&stream).write_all(request).unwrap();
+        let mut text = String::new();
+        if let Err(e) = (&stream).read_to_string(&mut text) {
+            panic!("no EOF within 1 s ({e}) after {text:?}");
+        }
+        text
+    }
+
+    #[test]
+    fn get_metrics_with_an_undrainable_length_answers_close_and_hangs_up() {
+        let server = HttpServer::bind(service(), "127.0.0.1:0").unwrap();
+        let text = exchange_until_close(
+            &server,
+            b"GET /metrics HTTP/1.1\r\nContent-Length: 1099511627776\r\n\r\n",
+        );
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+        assert!(text.contains("\r\nConnection: close\r\n"), "{text}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn http_1_0_and_connection_close_get_a_closing_answer() {
+        let server = HttpServer::bind(service(), "127.0.0.1:0").unwrap();
+        let body = fsi_proto::encode_request(&Request::Stats);
+        for head in [
+            "POST /query HTTP/1.0\r\n",
+            "POST /query HTTP/1.1\r\nConnection: close\r\n",
+        ] {
+            let request = format!("{head}Content-Length: {}\r\n\r\n{body}", body.len());
+            let text = exchange_until_close(&server, request.as_bytes());
+            assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+            assert!(text.contains("\r\nConnection: close\r\n"), "{text}");
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_unparsable_content_length_gets_411_and_a_close() {
+        let server = HttpServer::bind(service(), "127.0.0.1:0").unwrap();
+        let text = exchange_until_close(
+            &server,
+            b"POST /query HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        );
+        assert!(
+            text.starts_with("HTTP/1.1 411 Length Required\r\n"),
+            "{text}"
+        );
+        assert!(text.contains("\r\nConnection: close\r\n"), "{text}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_request_sent_in_slow_pieces_gets_the_same_answer_and_keeps_serving() {
+        let server = HttpServer::bind(service(), "127.0.0.1:0").unwrap();
+        let body = fsi_proto::encode_request(&Request::Lookup { x: 0.1, y: 0.1 });
+        let expected = HttpClient::connect(server.addr())
+            .unwrap()
+            .post(&body)
+            .unwrap();
+        let request = format!(
+            "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        // Pieces split the request line, the headers and the body, and
+        // every pause outlasts a server read timeout.
+        for piece in request.as_bytes().chunks(request.len() / 4 + 1) {
+            (&stream).write_all(piece).unwrap();
+            std::thread::sleep(POLL_INTERVAL + Duration::from_millis(30));
+        }
+        assert_eq!(read_raw_response(&mut reader), expected);
+        (&stream).write_all(request.as_bytes()).unwrap();
+        assert_eq!(read_raw_response(&mut reader), expected);
+        server.shutdown();
+    }
+
+    #[test]
+    fn more_than_max_headers_close_the_connection_without_an_answer() {
+        let server = HttpServer::bind(service(), "127.0.0.1:0").unwrap();
+        let body = fsi_proto::encode_request(&Request::Stats);
+        // The status of the answer to a request with `headers` headers,
+        // or `None` when the server hangs up instead.
+        let status_with = |headers: usize| {
+            let mut request = String::from("POST /query HTTP/1.1\r\n");
+            for i in 1..headers {
+                request.push_str(&format!("X-Filler-{i}: y\r\n"));
+            }
+            request.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len()));
+            let stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            (&stream).write_all(request.as_bytes()).unwrap();
+            let mut line = String::new();
+            match BufReader::new(&stream).read_line(&mut line) {
+                Ok(0) | Err(_) => None,
+                Ok(_) => Some(line.split_whitespace().nth(1).unwrap().to_string()),
+            }
+        };
+        assert_eq!(status_with(MAX_HEADERS).as_deref(), Some("200"));
+        assert_eq!(status_with(MAX_HEADERS + 1), None);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_returns_promptly_with_clients_parked_mid_head_and_mid_body() {
+        let server = HttpServer::bind(service(), "127.0.0.1:0").unwrap();
+        let body = fsi_proto::encode_request(&Request::Stats);
+        let request = format!(
+            "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let parked: Vec<TcpStream> = [
+            "POST /query HTTP/1.1\r\nContent-Le".to_string(),
+            format!(
+                "POST /query HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}",
+                &body[..5]
+            ),
+        ]
+        .into_iter()
+        .map(|partial| {
+            let stream = TcpStream::connect(server.addr()).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            // One full exchange first, so a worker is serving this
+            // connection before it stalls.
+            (&stream).write_all(request.as_bytes()).unwrap();
+            assert_eq!(read_raw_response(&mut reader).0, 200);
+            (&stream).write_all(partial.as_bytes()).unwrap();
+            stream
+        })
+        .collect();
+        // Gives both workers time to take the partial bytes and block on
+        // the rest; shutdown must return whichever read they are in.
+        std::thread::sleep(POLL_INTERVAL * 2);
+        let started = Instant::now();
+        server.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+        drop(parked);
     }
 }

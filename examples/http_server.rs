@@ -27,6 +27,7 @@
 //! ```
 
 use fsi::{HttpClient, Method, Pipeline, Request, Response, TaskSpec, WirePoint, WireRect};
+use std::io::{BufRead, BufReader, Write};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -129,6 +130,40 @@ fn smoke_round_trip(server: &fsi::HttpServer) -> Result<(), Box<dyn std::error::
     };
     println!("oob      -> {}: {}", error.code, error.message);
 
+    // Framing: the server drains a rejected request's body, so the
+    // request behind it on the same keep-alive connection is answered
+    // normally.
+    let stream = std::net::TcpStream::connect(server.addr())?;
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
+    let mut reader = BufReader::new(&stream);
+    let rejected = fsi::encode_request(&Request::Stats);
+    write!(
+        &stream,
+        "GET /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{rejected}",
+        rejected.len()
+    )?;
+    let (status, _) = read_raw_response(&mut reader)?;
+    if status != 405 {
+        return Err(format!("GET /query with a body answered {status}, not 405").into());
+    }
+    let lookup = fsi::encode_request(&Request::Lookup { x: 0.31, y: 0.72 });
+    write!(
+        &stream,
+        "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{lookup}",
+        lookup.len()
+    )?;
+    let (status, body) = read_raw_response(&mut reader)?;
+    match fsi::decode_response(&body)? {
+        Response::Decision { decision: again } if status == 200 && again == decision => {}
+        other => {
+            return Err(format!("lookup after a 405 answered {status} {other:?}").into());
+        }
+    }
+    println!(
+        "framing  -> GET /query 405, then lookup leaf {} on the same connection",
+        decision.leaf_id
+    );
+
     // The text exposition must reflect the traffic above and parse as
     // Prometheus text: every sample line names a family that was
     // declared by a `# TYPE` comment before it.
@@ -177,4 +212,32 @@ fn smoke_round_trip(server: &fsi::HttpServer) -> Result<(), Box<dyn std::error::
 
     println!("smoke ok");
     Ok(())
+}
+
+/// Reads one framed response off a raw connection: `(status, body)`.
+fn read_raw_response(
+    reader: &mut impl BufRead,
+) -> Result<(u16, String), Box<dyn std::error::Error>> {
+    let mut line = String::new();
+    reader.read_line(&mut line)?;
+    let status = line
+        .split_whitespace()
+        .nth(1)
+        .ok_or("connection closed before a response")?
+        .parse()?;
+    let mut length = 0;
+    loop {
+        line.clear();
+        reader.read_line(&mut line)?;
+        match line.trim().split_once(':') {
+            Some((name, value)) if name.eq_ignore_ascii_case("content-length") => {
+                length = value.trim().parse()?
+            }
+            Some(_) => {}
+            None => break, // the blank line that ends the head
+        }
+    }
+    let mut body = vec![0; length];
+    reader.read_exact(&mut body)?;
+    Ok((status, String::from_utf8(body)?))
 }
